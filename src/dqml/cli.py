@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -86,14 +85,6 @@ def _lambda_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _default_threads() -> int:
-    env = os.environ.get("DQML_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=_positive_int, default=500)
     p.add_argument("--grad-tol", type=_positive_float, default=1e-7)
@@ -129,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated candidates; picks the lowest-error one")
     p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=_default_threads())
     p.add_argument("-o", "--out", required=True, help="model file to write")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_train)
@@ -146,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-grid", type=_lambda_grid, default=None)
     p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=_default_threads())
     p.add_argument("--json", action="store_true")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -216,15 +205,14 @@ def cmd_train(args) -> int:
     lam = args.lam
     if args.cv_grid is not None:
         lam, table = cross_validate_lambda(
-            ds, args.cv_grid, folds=args.folds, config=config,
-            seed=args.seed, threads=args.threads,
+            ds, args.cv_grid, folds=args.folds, config=config, seed=args.seed
         )
         print(json.dumps({
             "selected_lambda": lam,
             "cv": [{"lambda": e.lam, "mean_error": e.mean_error} for e in table],
         }))
 
-    model = train_model_set(ds, lam, config, threads=args.threads)
+    model = train_model_set(ds, lam, config)
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
@@ -245,8 +233,7 @@ def _protocol_lambda(args, train_ds, config) -> float:
         return args.lam
     grid = args.cv_grid if args.cv_grid is not None else DEFAULT_LAMBDA_GRID
     lam, _ = cross_validate_lambda(
-        train_ds, grid, folds=args.folds, config=config,
-        seed=args.seed, threads=args.threads,
+        train_ds, grid, folds=args.folds, config=config, seed=args.seed
     )
     return lam
 
@@ -265,7 +252,7 @@ def cmd_eval(args) -> int:
         for r in range(args.reps):
             train_ds, test_ds = split_random(ds, spec, r)
             lam = _protocol_lambda(args, train_ds, config)
-            model = train_model_set(train_ds, lam, config, threads=args.threads)
+            model = train_model_set(train_ds, lam, config)
             for rule in ("max", "nn_cosine"):
                 errors[rule].append(evaluate(model, test_ds, rule).error_rate)
         summary = {

@@ -25,8 +25,8 @@ from .errors import (
     NumericalFailureError,
     UnboundedProblemError,
 )
-from .qml import ClassProblem, check_feasible_samples
-from .symmat import SymmetricMatrix, positive_part
+from .qml import ClassProblem, _max_violation, _primal_value, check_feasible_samples
+from .symmat import SymmetricMatrix, _spectral_part, quad_forms
 
 DEFAULT_SCHEDULE = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 MAX_INNER_STEPS = 2000
@@ -138,15 +138,21 @@ def solve_primal_grid(
         )
     a, cval, dval = best_adc
     p = SymmetricMatrix(np.array([[a, cval], [cval, dval]]))
-    quad = np.einsum("ij,jk,ik->i", x, p.entries, x)
     return OracleResult(
         matrix=p,
         objective=best_obj,
         method="grid",
         resolution_or_final_penalty=step,
-        max_violation=float(np.max(np.maximum(b - quad, 0.0))),
+        max_violation=_max_violation(problem, p.entries),
         candidates=n_candidates,
     )
+
+
+def _smooth_objective(problem: ClassProblem, p: np.ndarray, linear_objective: bool) -> float:
+    """tr(P O) if linear_objective, else (1/2)||P||^2 + lam*tr(P O)."""
+    if linear_objective:
+        return float(np.sum(p * problem.extra_scatter.entries))
+    return _primal_value(problem, p)
 
 
 def _power_iteration_lmax(g: np.ndarray, iterations: int = 100) -> float:
@@ -197,19 +203,13 @@ def _penalty_descent(
         lipschitz = curvature if linear_objective else 1.0 + curvature
         step = 1.0 / max(lipschitz, 1e-12)
         for _ in range(MAX_INNER_STEPS):
-            quad = np.einsum("ij,jk,ik->i", x, p, x)
-            viol = np.maximum(b - quad, 0.0)
+            viol = np.maximum(b - quad_forms(p, x), 0.0)
             grad = smooth_grad_const - 2.0 * rho * (x.T * viol) @ x
             if not linear_objective:
                 grad = grad + p
             p_next = p - step * grad
-            p_next = positive_part(SymmetricMatrix((p_next + p_next.T) / 2.0)).entries
-            smooth = (
-                float(np.sum(p_next * o))
-                if linear_objective
-                else 0.5 * float(np.sum(p_next * p_next))
-                + problem.lam * float(np.sum(p_next * o))
-            )
+            p_next = _spectral_part((p_next + p_next.T) / 2.0, negative=False)
+            smooth = _smooth_objective(problem, p_next, linear_objective)
             if not np.isfinite(smooth):
                 raise NumericalFailureError("penalty oracle objective became non-finite")
             if linear_objective and smooth < UNBOUNDED_FLOOR:
@@ -221,15 +221,13 @@ def _penalty_descent(
             p = p_next
             if moved <= inner_tol * (1.0 + float(np.linalg.norm(p))):
                 break
-        quad = np.einsum("ij,jk,ik->i", x, p, x)
-        stage_violations.append(float(np.max(np.maximum(b - quad, 0.0))))
+        stage_violations.append(_max_violation(problem, p))
     return p, schedule[-1], stage_violations
 
 
 def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
     """Scale up the matrix so the worst constraint holds exactly."""
-    quad = np.einsum("ij,jk,ik->i", problem.intra, p, problem.intra)
-    worst = float(np.min(quad))
+    worst = float(np.min(quad_forms(p, problem.intra)))
     if worst >= problem.margin:
         return p
     if worst <= 0.0:
@@ -237,6 +235,23 @@ def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
             "penalty oracle did not reach the feasible region; cannot polish"
         )
     return p * (problem.margin / worst)
+
+
+def _penalty_solve(
+    problem: ClassProblem, schedule, inner_tol: float, linear_objective: bool
+) -> OracleResult:
+    p, final_rho, stage_violations = _penalty_descent(
+        problem, schedule, inner_tol, linear_objective
+    )
+    p = _polish_feasible(problem, p)
+    return OracleResult(
+        matrix=SymmetricMatrix((p + p.T) / 2.0),
+        objective=_smooth_objective(problem, p, linear_objective),
+        method="penalty",
+        resolution_or_final_penalty=final_rho,
+        max_violation=_max_violation(problem, p),
+        stage_violations=tuple(stage_violations),
+    )
 
 
 def solve_primal_penalty(
@@ -251,22 +266,7 @@ def solve_primal_penalty(
     after every step; rho then increases along the schedule. A final
     rescale makes the worst constraint hold exactly.
     """
-    p, final_rho, stage_violations = _penalty_descent(
-        problem, schedule, inner_tol, linear_objective=False
-    )
-    p = _polish_feasible(problem, p)
-    objective = 0.5 * float(np.sum(p * p)) + problem.lam * float(
-        np.sum(p * problem.extra_scatter.entries)
-    )
-    quad = np.einsum("ij,jk,ik->i", problem.intra, p, problem.intra)
-    return OracleResult(
-        matrix=SymmetricMatrix((p + p.T) / 2.0),
-        objective=objective,
-        method="penalty",
-        resolution_or_final_penalty=final_rho,
-        max_violation=float(np.max(np.maximum(problem.margin - quad, 0.0))),
-        stage_violations=tuple(stage_violations),
-    )
+    return _penalty_solve(problem, schedule, inner_tol, linear_objective=False)
 
 
 def solve_unregularized(
@@ -280,17 +280,4 @@ def solve_unregularized(
     Without the Frobenius term the objective is linear, so boundedness
     depends on the data; a runaway objective raises UnboundedProblemError.
     """
-    p, final_rho, stage_violations = _penalty_descent(
-        problem, schedule, inner_tol, linear_objective=True
-    )
-    p = _polish_feasible(problem, p)
-    objective = float(np.sum(p * problem.extra_scatter.entries))
-    quad = np.einsum("ij,jk,ik->i", problem.intra, p, problem.intra)
-    return OracleResult(
-        matrix=SymmetricMatrix((p + p.T) / 2.0),
-        objective=objective,
-        method="penalty",
-        resolution_or_final_penalty=final_rho,
-        max_violation=float(np.max(np.maximum(problem.margin - quad, 0.0))),
-        stage_violations=tuple(stage_violations),
-    )
+    return _penalty_solve(problem, schedule, inner_tol, linear_objective=True)

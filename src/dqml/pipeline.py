@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .qml import (
     build_scatter,
     solve_dual,
 )
-from .symmat import SymmetricMatrix
+from .symmat import SymmetricMatrix, quad_forms
 
 MODEL_MAGIC = b"DQML"
 MODEL_FORMAT_VERSION = 1
@@ -94,15 +93,20 @@ class FeatureVector:
         v = np.array(self.values, dtype=float, copy=True)
         if v.ndim != 1 or v.shape[0] < 1:
             raise InvalidInputError(f"feature vector must be 1-d and nonempty, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise InvalidInputError("feature vector has non-finite entries")
-        if (v < FEATURE_FLOOR).any():
-            raise InvalidInputError(
-                "feature vector has a component below the PSD floor "
-                f"{FEATURE_FLOOR}: min {v.min()}"
-            )
+        _check_features(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+
+def _check_features(v: np.ndarray) -> None:
+    """Quadratic forms of a PSD matrix are finite and not below FEATURE_FLOOR."""
+    if not np.isfinite(v).all():
+        raise InvalidInputError("feature vector has non-finite entries")
+    if (v < FEATURE_FLOOR).any():
+        raise InvalidInputError(
+            "feature vector has a component below the PSD floor "
+            f"{FEATURE_FLOOR}: min {v.min()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -168,44 +172,54 @@ def build_class_problem(ds: Dataset, c: int, lam: float) -> ClassProblem:
     )
 
 
-def _quadratic_forms(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", x, p, x)
+def _feature_matrix(matrices, x: np.ndarray) -> np.ndarray:
+    """(n, C) feature matrix: entry (i, c) is x_i^T P_c x_i."""
+    f = np.stack([quad_forms(t.matrix.entries, x) for t in matrices], axis=1)
+    _check_features(f)
+    return f
+
+
+def _nn_cosine_labels(f: np.ndarray, model: ModelSet) -> np.ndarray:
+    """Label of the training feature most cosine-similar to each row of f.
+
+    Zero-norm stored features can never win; a zero-norm query has no
+    defined direction and is rejected.
+    """
+    qn = np.linalg.norm(f, axis=1)
+    if (qn == 0.0).any():
+        raise DegenerateFeatureError("query feature vector has zero norm")
+    col_norms = np.linalg.norm(model.training_features, axis=0)
+    if not (col_norms > 0.0).any():
+        raise DegenerateFeatureError("every training feature has zero norm")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (f @ model.training_features) / (qn[:, None] * col_norms)
+    cos[:, col_norms == 0.0] = -np.inf
+    return model.training_labels[np.argmax(cos, axis=1)]
 
 
 def train_model_set(
     ds: Dataset,
     lam: float,
     config: SolverConfig = SolverConfig(),
-    threads: int | None = None,
 ) -> ModelSet:
     """Train every class matrix and the training feature matrix.
 
-    Classes are independent problems; with threads > 1 they are solved in a
-    thread pool (the heavy work is in LAPACK, which releases the GIL).
-    Results are assembled in class order either way.
+    Classes are independent problems, solved one after another in class
+    order.
     """
-
-    def train_one(c: int) -> TrainedQuadraticMatrix:
+    trained = []
+    for c in range(1, ds.class_count + 1):
         try:
-            return solve_dual(build_class_problem(ds, c, lam), config)
+            trained.append(solve_dual(build_class_problem(ds, c, lam), config))
         except InfeasibleProblemError as exc:
             raise InfeasibleProblemError(f"class {c}: {exc}") from exc
-
-    classes = range(1, ds.class_count + 1)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(train_one, c) for c in classes]
-            trained = [f.result() for f in futures]
-    else:
-        trained = [train_one(c) for c in classes]
-
-    features = np.vstack(
-        [_quadratic_forms(t.matrix.entries, ds.samples) for t in trained]
-    )
+    features = _feature_matrix(trained, ds.samples)
     return ModelSet(
         matrices=tuple(trained),
         lam=lam,
-        training_features=features,
+        # Row-major (C, n), the layout load_model gives, so that cosine NN
+        # rounds the same on a trained model and on its reloaded copy.
+        training_features=np.ascontiguousarray(features.T),
         training_labels=ds.labels,
     )
 
@@ -217,8 +231,7 @@ def extract_features(model: ModelSet, x: np.ndarray) -> FeatureVector:
         raise InvalidInputError(f"expected a vector of length {model.dim}, got {x.shape}")
     if not np.isfinite(x).all():
         raise InvalidInputError("sample has non-finite entries")
-    values = np.array([float(x @ t.matrix.entries @ x) for t in model.matrices])
-    return FeatureVector(values)
+    return FeatureVector(_feature_matrix(model.matrices, x[None, :])[0])
 
 
 def classify_max(f: FeatureVector) -> int:
@@ -237,17 +250,7 @@ def classify_nn_cosine(f: FeatureVector, model: ModelSet) -> int:
             f"feature vector has {f.values.shape[0]} components, model has "
             f"{model.class_count} classes"
         )
-    q = f.values
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        raise DegenerateFeatureError("query feature vector has zero norm")
-    col_norms = np.linalg.norm(model.training_features, axis=0)
-    if not (col_norms > 0.0).any():
-        raise DegenerateFeatureError("every training feature has zero norm")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (q @ model.training_features) / (qn * col_norms)
-    cos[col_norms == 0.0] = -np.inf
-    return int(model.training_labels[int(np.argmax(cos))])
+    return int(_nn_cosine_labels(f.values[None, :], model)[0])
 
 
 @dataclass(frozen=True)
@@ -269,15 +272,12 @@ def evaluate(model: ModelSet, test: Dataset, rule: str) -> EvaluationResult:
             f"test labels reach class {test.class_count}, model has "
             f"{model.class_count}"
         )
+    f = _feature_matrix(model.matrices, test.samples)
+    pred = np.argmax(f, axis=1) + 1 if rule == "max" else _nn_cosine_labels(f, model)
     c = model.class_count
     confusion = np.zeros((c, c), dtype=np.int64)
-    wrong = 0
-    for i in range(test.n):
-        f = extract_features(model, test.samples[i])
-        pred = classify_max(f) if rule == "max" else classify_nn_cosine(f, model)
-        truth = int(test.labels[i])
-        confusion[truth - 1, pred - 1] += 1
-        wrong += int(pred != truth)
+    np.add.at(confusion, (test.labels - 1, pred - 1), 1)
+    wrong = int(np.count_nonzero(pred != test.labels))
     return EvaluationResult(error_rate=wrong / test.n, confusion=confusion)
 
 
@@ -312,7 +312,6 @@ def cross_validate_lambda(
     folds: int = 10,
     config: SolverConfig = SolverConfig(),
     seed: int = 0,
-    threads: int | None = None,
 ) -> tuple[float, tuple[CvEntry, ...]]:
     """Pick the regularization weight by stratified k-fold cross-validation.
 
@@ -344,11 +343,11 @@ def cross_validate_lambda(
             train_mask = np.ones(ds.n, dtype=bool)
             train_mask[val_idx] = False
             train_ds = Dataset(ds.samples[train_mask], ds.labels[train_mask])
-            model = train_model_set(train_ds, lam, config, threads=threads)
-            wrong = 0
-            for i in val_idx:
-                f = extract_features(model, ds.samples[i])
-                wrong += int(classify_nn_cosine(f, model) != int(ds.labels[i]))
+            model = train_model_set(train_ds, lam, config)
+            pred = _nn_cosine_labels(
+                _feature_matrix(model.matrices, ds.samples[val_idx]), model
+            )
+            wrong = int(np.count_nonzero(pred != ds.labels[val_idx]))
             fold_errors.append(wrong / val_idx.size)
         entries.append(
             CvEntry(

@@ -28,9 +28,8 @@ from .symmat import (
     _clamped_parts,
     _eigh_descending,
     eig_call_count,
-    frobenius_norm,
     min_eigenvalue,
-    trace_product,
+    quad_forms,
 )
 
 _CURVATURE_RTOL = 1e-10
@@ -76,6 +75,8 @@ class ClassProblem:
     extra_scatter: SymmetricMatrix
     lam: float
     margin: float = 1.0
+    # lam * O, the constant term of every M(u).
+    _lam_o: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.intra, dtype=float, copy=True)
@@ -98,6 +99,9 @@ class ClassProblem:
         object.__setattr__(self, "intra", x)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "margin", float(self.margin))
+        lam_o = self.lam * self.extra_scatter.entries
+        lam_o.flags.writeable = False
+        object.__setattr__(self, "_lam_o", lam_o)
 
     @property
     def n_intra(self) -> int:
@@ -187,26 +191,21 @@ class KktReport:
     primal_objective: float
 
 
-def assemble_m(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
-    """The dual matrix M(u) = lam*O - sum_i u_i x_i x_i^T."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.n_intra,):
-        raise InvalidInputError(
-            f"expected {problem.n_intra} dual variables, got shape {u.shape}"
-        )
+def _assemble(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
+    """The raw array of M(u) = lam*O - sum_i u_i x_i x_i^T."""
     x = problem.intra
-    m = problem.lam * problem.extra_scatter.entries - (x.T * u) @ x
-    return SymmetricMatrix((m + m.T) / 2.0)
+    m = problem._lam_o - (x.T * u) @ x
+    return (m + m.T) / 2.0
 
 
-def _raw_eval(x: np.ndarray, base: np.ndarray, b: float, u: np.ndarray):
-    """Dual objective, dual gradient, and the decomposition of M(u).
+def _dual_state(problem: ClassProblem, u: np.ndarray):
+    """D(u), its gradient, and the negative spectral part of M(u).
 
-    One eigendecomposition per call. Returns (dual_value, dual_gradient,
-    (eigenvalues, eigenvectors, negative_eigenvalues)).
+    The one place the dual is evaluated: exactly one eigendecomposition per
+    call. Returns (dual_value, dual_gradient, eigenvectors,
+    negative_eigenvalues).
     """
-    m = base - (x.T * u) @ x
-    m = (m + m.T) / 2.0
+    m = _assemble(problem, u)
     if not np.isfinite(m).all():
         raise NumericalFailureError("dual matrix M(u) has non-finite entries")
     try:
@@ -214,30 +213,31 @@ def _raw_eval(x: np.ndarray, base: np.ndarray, b: float, u: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigendecomposition of M(u) failed") from exc
     _, neg = _clamped_parts(w)
+    b = problem.margin
     dual = -0.5 * float(neg @ neg) + b * float(np.sum(u))
-    quad = np.square(x @ v) @ neg
-    grad = b + quad
-    return dual, grad, (w, v, neg)
+    grad = b + np.square(problem.intra @ v) @ neg
+    return dual, grad, v, neg
 
 
-def _problem_arrays(problem: ClassProblem) -> tuple[np.ndarray, np.ndarray]:
-    return problem.intra, problem.lam * problem.extra_scatter.entries
+def _primal_from(v: np.ndarray, neg: np.ndarray) -> SymmetricMatrix:
+    """P = -M_- from the eigenvectors and negative eigenvalues of M."""
+    p = (v * -neg) @ v.T
+    return SymmetricMatrix((p + p.T) / 2.0)
+
+
+def assemble_m(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
+    """The dual matrix M(u) = lam*O - sum_i u_i x_i x_i^T."""
+    return SymmetricMatrix(_assemble(problem, _check_dual_point(problem, u)))
 
 
 def dual_objective(problem: ClassProblem, u: np.ndarray) -> float:
     """D(u) = -(1/2)||M(u)_-||_F^2 + b * sum(u)."""
-    x, base = _problem_arrays(problem)
-    u = _check_dual_point(problem, u)
-    value, _, _ = _raw_eval(x, base, problem.margin, u)
-    return value
+    return _dual_state(problem, _check_dual_point(problem, u))[0]
 
 
 def dual_gradient(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
     """dD/du_i = b + x_i^T M(u)_- x_i."""
-    x, base = _problem_arrays(problem)
-    u = _check_dual_point(problem, u)
-    _, grad, _ = _raw_eval(x, base, problem.margin, u)
-    return grad
+    return _dual_state(problem, _check_dual_point(problem, u))[1]
 
 
 def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
@@ -253,37 +253,46 @@ def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
 
 def recover_primal(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     """Trained matrix P = -M(u)_-, PSD by construction."""
-    x, base = _problem_arrays(problem)
-    u = _check_dual_point(problem, u)
-    _, _, (_, v, neg) = _raw_eval(x, base, problem.margin, u)
-    p = (v * -neg) @ v.T
-    return SymmetricMatrix((p + p.T) / 2.0)
+    _, _, v, neg = _dual_state(problem, _check_dual_point(problem, u))
+    return _primal_from(v, neg)
+
+
+def _primal_value(problem: ClassProblem, p: np.ndarray) -> float:
+    """(1/2)||P||_F^2 + lam * tr(P O) of a raw array."""
+    return 0.5 * float(np.sum(p * p)) + problem.lam * float(
+        np.sum(p * problem.extra_scatter.entries)
+    )
+
+
+def _max_violation(problem: ClassProblem, p: np.ndarray) -> float:
+    """Worst constraint violation max_i max(0, b - x_i^T P x_i) of a raw array."""
+    return float(np.max(np.maximum(problem.margin - quad_forms(p, problem.intra), 0.0)))
 
 
 def primal_objective(problem: ClassProblem, p: SymmetricMatrix) -> float:
     """(1/2)||P||_F^2 + lam * tr(P O)."""
     if p.dim != problem.dim:
         raise InvalidInputError(f"matrix is {p.dim}-dimensional, problem is {problem.dim}")
-    return 0.5 * frobenius_norm(p) ** 2 + problem.lam * trace_product(p, problem.extra_scatter)
+    return _primal_value(problem, p.entries)
 
 
 def constraint_values(problem: ClassProblem, p: SymmetricMatrix) -> np.ndarray:
     """x_i^T P x_i for every intra-class sample."""
     if p.dim != problem.dim:
         raise InvalidInputError(f"matrix is {p.dim}-dimensional, problem is {problem.dim}")
-    x = problem.intra
-    return np.einsum("ij,jk,ik->i", x, p.entries, x)
+    return quad_forms(p.entries, problem.intra)
 
 
-def _projected_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of f with the infeasible descent directions projected out.
+def _projected_grad_inf(u: np.ndarray, g: np.ndarray) -> float:
+    """Max norm of the gradient of f with the infeasible descent directions
+    projected out.
 
     At u_i = 0 only the components pointing into the feasible set count.
     """
     pg = g.copy()
     at_bound = u <= 0.0
     pg[at_bound] = np.minimum(g[at_bound], 0.0)
-    return pg
+    return float(np.max(np.abs(pg)))
 
 
 def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
@@ -326,14 +335,12 @@ def solve_dual(
     """
     check_feasible_samples(problem)
 
-    x, base = _problem_arrays(problem)
-    b = problem.margin
-    tol = config.grad_tol * max(1.0, b)
+    tol = config.grad_tol * max(1.0, problem.margin)
     eig_before = eig_call_count()
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
-    dual_value, dual_grad, extras = _raw_eval(x, base, b, u)
+    dual_value, dual_grad, v, neg = _dual_state(problem, u)
     f = -dual_value
     g = -dual_grad
     evals = 1
@@ -344,8 +351,7 @@ def solve_dual(
     iterations = 0
 
     for _ in range(config.max_iterations):
-        pg = _projected_gradient(u, g)
-        grad_inf = float(np.max(np.abs(pg))) if pg.size else 0.0
+        grad_inf = _projected_grad_inf(u, g)
         if grad_inf <= tol:
             converged = True
             break
@@ -374,7 +380,8 @@ def solve_dual(
             if not delta.any():
                 break
             directional = float(g @ delta)
-            f_new, dual_grad_new, extras_new = _eval_min(x, base, b, u_new)
+            dual_new, dual_grad_new, v_new, neg_new = _dual_state(problem, u_new)
+            f_new = -dual_new
             evals += 1
             if directional < 0.0 and f_new <= f + config.armijo_c * directional:
                 accepted = True
@@ -390,26 +397,17 @@ def solve_dual(
         if sy > _CURVATURE_RTOL * float(np.linalg.norm(s) * np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
 
-        u, f, g, extras = u_new, f_new, g_new, extras_new
+        u, f, g, v, neg = u_new, f_new, g_new, v_new, neg_new
         if not (np.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
         trajectory.append(-f)
     else:
-        pg = _projected_gradient(u, g)
-        grad_inf = float(np.max(np.abs(pg)))
+        grad_inf = _projected_grad_inf(u, g)
         converged = grad_inf <= tol
 
-    _, v, neg = extras
-    p_arr = (v * -neg) @ v.T
-    p = SymmetricMatrix((p_arr + p_arr.T) / 2.0)
-
+    p = _primal_from(v, neg)
     dual_value = -f
-    primal_value = 0.5 * float(np.sum(p.entries * p.entries)) + problem.lam * float(
-        np.sum(p.entries * problem.extra_scatter.entries)
-    )
-    quad = np.einsum("ij,jk,ik->i", x, p.entries, x)
-    max_violation = float(np.max(np.maximum(b - quad, 0.0)))
-
+    primal_value = primal_objective(problem, p)
     report = SolveReport(
         iterations=iterations,
         converged=converged,
@@ -417,18 +415,12 @@ def solve_dual(
         primal_objective=primal_value,
         duality_gap=primal_value - dual_value,
         grad_inf_norm=grad_inf,
-        max_violation=max_violation,
+        max_violation=_max_violation(problem, p.entries),
         objective_evals=evals,
         eig_calls=eig_call_count() - eig_before,
         dual_trajectory=tuple(trajectory),
     )
     return TrainedQuadraticMatrix(matrix=p, dual=DualVariables(u), report=report)
-
-
-def _eval_min(x, base, b, u):
-    """-D(u), the dual gradient, and decomposition extras."""
-    dual_value, dual_grad, extras = _raw_eval(x, base, b, u)
-    return -dual_value, dual_grad, extras
 
 
 def kkt_report(
@@ -442,23 +434,17 @@ def kkt_report(
     which should be nonnegative up to the PSD certification tolerance.
     """
     u = dual.values
-    x, base = _problem_arrays(problem)
-    b = problem.margin
-    dual_value, dual_grad, (_, v, neg) = _raw_eval(x, base, b, u)
+    dual_value, dual_grad, v, neg = _dual_state(problem, u)
     if matrix is None:
-        p_arr = (v * -neg) @ v.T
-        matrix = SymmetricMatrix((p_arr + p_arr.T) / 2.0)
+        matrix = _primal_from(v, neg)
 
-    pg = _projected_gradient(u, -dual_grad)
-    quad = np.einsum("ij,jk,ik->i", x, matrix.entries, x)
-    violations = np.maximum(b - quad, 0.0)
-    slack = np.abs(u * (quad - b))
+    slack = np.abs(u * (constraint_values(problem, matrix) - problem.margin))
     primal_value = primal_objective(problem, matrix)
 
     return KktReport(
-        grad_inf_norm=float(np.max(np.abs(pg))) if pg.size else 0.0,
-        max_violation=float(np.max(violations)) if violations.size else 0.0,
-        complementary_slackness=float(np.max(slack)) if slack.size else 0.0,
+        grad_inf_norm=_projected_grad_inf(u, -dual_grad),
+        max_violation=_max_violation(problem, matrix.entries),
+        complementary_slackness=float(np.max(slack)),
         duality_gap=primal_value - dual_value,
         min_eigenvalue=min_eigenvalue(matrix),
         dual_objective=dual_value,

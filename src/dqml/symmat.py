@@ -27,7 +27,12 @@ _EIG_CALLS = 0
 
 
 def eig_call_count() -> int:
-    """Number of dense eigendecompositions performed since the last reset."""
+    """Number of dense eigendecompositions performed since the last reset.
+
+    The count is process-wide: a difference of two readings, such as
+    ``SolveReport.eig_calls``, is exact only when no other eigendecomposition
+    runs between them, i.e. when solves do not run concurrently.
+    """
     return _EIG_CALLS
 
 
@@ -105,25 +110,28 @@ def _clamped_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _reconstruct(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    r = (v * w) @ v.T
+def _spectral_part(arr: np.ndarray, negative: bool) -> np.ndarray:
+    """Positive or negative spectral part of a raw symmetric array."""
+    _check_finite(arr)
+    w, v = _eigh_descending(arr)
+    pos, neg = _clamped_parts(w)
+    r = (v * (neg if negative else pos)) @ v.T
     return (r + r.T) / 2.0
 
 
 def positive_part(a: SymmetricMatrix) -> SymmetricMatrix:
     """Projection onto the PSD cone: keep only the positive eigenpairs."""
-    _check_finite(a.entries)
-    w, v = _eigh_descending(a.entries)
-    pos, _ = _clamped_parts(w)
-    return SymmetricMatrix(_reconstruct(v, pos))
+    return SymmetricMatrix(_spectral_part(a.entries, negative=False))
 
 
 def negative_part(a: SymmetricMatrix) -> SymmetricMatrix:
     """Complement of the positive part: keep only the negative eigenpairs."""
-    _check_finite(a.entries)
-    w, v = _eigh_descending(a.entries)
-    _, neg = _clamped_parts(w)
-    return SymmetricMatrix(_reconstruct(v, neg))
+    return SymmetricMatrix(_spectral_part(a.entries, negative=True))
+
+
+def quad_forms(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_i^T P x_i for every row x_i of x."""
+    return np.einsum("ij,jk,ik->i", x, p, x)
 
 
 def trace_product(a: SymmetricMatrix, b: SymmetricMatrix) -> float:

@@ -255,22 +255,3 @@ class TestDiagnose:
         bad = [c for c in payload["checks"] if not c["pass"]]
         assert {c["check"] for c in bad} == {"gradient_fd_rel_error"}
         assert {c["instance"] for c in bad} == {0, 1}
-
-
-class TestThreadsDefault:
-    def test_env_variable_feeds_default(self, monkeypatch):
-        monkeypatch.setenv("DQML_THREADS", "4")
-        assert cli._default_threads() == 4
-
-    def test_garbage_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("DQML_THREADS", "lots")
-        assert cli._default_threads() == 1
-
-    def test_threaded_train_matches_serial(self, tmp_path):
-        data = write_training_csv(tmp_path / "train.csv", classes=3, per_class=6)
-        serial, threaded = tmp_path / "s.dqml", tmp_path / "t.dqml"
-        assert run_cli(["train", "--data", str(data), "--lambda", "0.5",
-                        "-o", str(serial), "--threads", "1"]) == 0
-        assert run_cli(["train", "--data", str(data), "--lambda", "0.5",
-                        "-o", str(threaded), "--threads", "3"]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()

@@ -4,6 +4,7 @@ classification rules, cross-validation, and the model file round trip."""
 import numpy as np
 import pytest
 
+from dqml.datasets import SynthSpec, generate_synthetic
 from dqml.errors import (
     DegenerateFeatureError,
     InfeasibleProblemError,
@@ -122,14 +123,6 @@ class TestTrainModelSet:
         ds = Dataset(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 2]))
         with pytest.raises(InfeasibleProblemError, match="class 2"):
             train_model_set(ds, lam=1.0)
-
-    def test_threaded_training_matches_sequential(self):
-        ds = gaussian_dataset(seed=3)
-        a = train_model_set(ds, lam=1.0)
-        b = train_model_set(ds, lam=1.0, threads=3)
-        for ta, tb in zip(a.matrices, b.matrices):
-            assert np.array_equal(ta.matrix.entries, tb.matrix.entries)
-        assert np.array_equal(a.training_features, b.training_features)
 
     def test_training_is_deterministic(self):
         ds = gaussian_dataset(seed=5)
@@ -301,6 +294,34 @@ class TestEvaluate:
         bad = Dataset(np.ones((2, 3)), np.array([1, 2]))
         with pytest.raises(InvalidInputError):
             evaluate(model, bad, "max")
+
+    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
+    def test_non_psd_model_rejected(self, rule):
+        mats = (
+            TrainedQuadraticMatrix(SymmetricMatrix(np.eye(2)), None, None),
+            TrainedQuadraticMatrix(SymmetricMatrix(np.diag([1.0, -1.0])), None, None),
+        )
+        model = ModelSet(mats, 1.0, np.eye(2) + 0.5, np.array([1, 2]))
+        with pytest.raises(InvalidInputError, match="PSD floor"):
+            evaluate(model, toy_dataset(), rule)
+
+    def test_batched_rules_match_single_sample_calls(self):
+        train = generate_synthetic(SynthSpec(3, 4, 12, 2.0, 1.0, seed=11))
+        test = generate_synthetic(SynthSpec(3, 4, 40, 2.0, 1.0, seed=12))
+        model = train_model_set(train, lam=0.3)
+        rules = {
+            "max": classify_max,
+            "nn_cosine": lambda f: classify_nn_cosine(f, model),
+        }
+        for rule, classify in rules.items():
+            want = np.zeros((3, 3), dtype=np.int64)
+            for x, y in zip(test.samples, test.labels):
+                want[y - 1, classify(extract_features(model, x)) - 1] += 1
+            res = evaluate(model, test, rule)
+            assert np.array_equal(res.confusion, want)
+            assert res.error_rate == (test.n - np.trace(want)) / test.n
+            # Misclassified samples make the comparison cover more than the diagonal.
+            assert np.trace(want) < test.n
 
 
 class TestModelFile:
