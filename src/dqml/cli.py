@@ -50,13 +50,13 @@ from .qml import (
     random_class_problem,
     solve_dual,
 )
+from .symmat import PSD_CERT_TOL
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 
 GAP_TOL = 1e-5
 VIOLATION_TOL = 1e-4
 SLACKNESS_TOL = 1e-4
-MIN_EIG_TOL = 1e-8
 FD_TOL = 1e-5
 PENALTY_AGREEMENT_TOL = 1e-3
 
@@ -246,8 +246,7 @@ def cmd_eval(args) -> int:
         if args.m_train is None:
             raise InvalidInputError("--protocol needs --m-train")
         ds, _ = load_csv(args.data)
-        spec = SplitSpec(per_class_train=args.m_train, repetitions=args.reps,
-                         seed=args.seed)
+        spec = SplitSpec(per_class_train=args.m_train, seed=args.seed)
         errors = {"max": [], "nn_cosine": []}
         for r in range(args.reps):
             train_ds, test_ds = split_random(ds, spec, r)
@@ -338,7 +337,7 @@ def cmd_diagnose(args) -> int:
                GAP_TOL * max(1.0, abs(rep.primal_objective)))
         record(i, "feasibility_violation", rep.max_violation, VIOLATION_TOL)
         record(i, "complementary_slackness", rep.complementary_slackness, SLACKNESS_TOL)
-        record(i, "negative_eigenvalue", max(0.0, -rep.min_eigenvalue), MIN_EIG_TOL)
+        record(i, "negative_eigenvalue", max(0.0, -rep.min_eigenvalue), PSD_CERT_TOL)
 
         primal = trained.report.primal_objective
         if args.grid_oracle:

@@ -23,14 +23,11 @@ class SplitSpec:
     """Repeated-split protocol: per_class_train samples to train, rest to test."""
 
     per_class_train: int
-    repetitions: int = 30
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.per_class_train < 1:
             raise InvalidInputError("per_class_train must be at least 1")
-        if self.repetitions < 1:
-            raise InvalidInputError("repetitions must be at least 1")
 
 
 @dataclass(frozen=True)

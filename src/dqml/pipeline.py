@@ -132,8 +132,7 @@ class ModelSet:
             raise InvalidInputError(
                 f"training features must be (classes, samples), got {f.shape}"
             )
-        if (f < FEATURE_FLOOR).any():
-            raise InvalidInputError("training features fall below the PSD floor")
+        _check_features(f)
         if y.ndim != 1 or y.shape[0] != f.shape[1]:
             raise InvalidInputError("one training label per feature column required")
         if not np.issubdtype(y.dtype, np.integer):
@@ -327,19 +326,18 @@ def cross_validate_lambda(
     if folds < 2:
         raise InvalidInputError("folds must be at least 2")
 
-    fold_sets = _stratified_folds(ds, folds, seed)
-    usable = [v for v in fold_sets if v.size > 0]
-    if not usable:
+    # Checked before _stratified_folds allocates one list per fold. When some
+    # class has at least `folds` samples, every fold gets a validation sample.
+    if folds > np.bincount(ds.labels).max():
         raise InvalidInputError(
             f"no class has at least {folds} samples; nothing can be validated"
         )
 
+    fold_sets = _stratified_folds(ds, folds, seed)
     entries = []
     for lam in grid:
         fold_errors = []
         for val_idx in fold_sets:
-            if val_idx.size == 0:
-                continue
             train_mask = np.ones(ds.n, dtype=bool)
             train_mask[val_idx] = False
             train_ds = Dataset(ds.samples[train_mask], ds.labels[train_mask])

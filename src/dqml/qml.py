@@ -34,6 +34,9 @@ from .symmat import (
 
 _CURVATURE_RTOL = 1e-10
 _MAX_BACKTRACKS = 60
+_MEMORY = 10  # L-BFGS (s, y) pairs kept
+_LINE_SEARCH_SHRINK = 0.5
+_ARMIJO_C = 1e-4
 
 
 def build_scatter(samples: np.ndarray, dim: int | None = None) -> SymmetricMatrix:
@@ -100,6 +103,8 @@ class ClassProblem:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "margin", float(self.margin))
         lam_o = self.lam * self.extra_scatter.entries
+        if not np.isfinite(lam_o).all():
+            raise InvalidInputError("lam * extra_scatter has non-finite entries")
         lam_o.flags.writeable = False
         object.__setattr__(self, "_lam_o", lam_o)
 
@@ -132,27 +137,29 @@ class DualVariables:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The stopping rule of solve_dual: stop once the projected gradient's
+    max norm is at most grad_tol * max(1, margin), or after max_iterations
+    steps."""
+
     max_iterations: int = 500
     grad_tol: float = 1e-7
-    memory: int = 10
-    line_search_shrink: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise InvalidInputError("grad_tol must be positive and finite")
-        if self.memory < 1:
-            raise InvalidInputError("memory must be at least 1")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise InvalidInputError("line_search_shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise InvalidInputError("armijo_c must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """How a solve_dual run ended, measured at the returned multipliers.
+
+    ``converged`` means grad_inf_norm <= grad_tol * max(1, margin) there.
+    ``iterations`` counts the steps attempted, including a last one whose
+    line search failed; ``dual_trajectory`` has one entry per accepted point.
+    """
+
     iterations: int
     converged: bool
     dual_objective: float
@@ -283,16 +290,16 @@ def constraint_values(problem: ClassProblem, p: SymmetricMatrix) -> np.ndarray:
     return quad_forms(p.entries, problem.intra)
 
 
-def _projected_grad_inf(u: np.ndarray, g: np.ndarray) -> float:
-    """Max norm of the gradient of f with the infeasible descent directions
+def _projected_gradient(u: np.ndarray, g: np.ndarray):
+    """The gradient g of f = -D at u with the infeasible descent directions
     projected out.
 
-    At u_i = 0 only the components pointing into the feasible set count.
+    Component i is active when u_i = 0 and g_i > 0: descent along it would
+    leave u >= 0. Returns (active, projected gradient, its max norm).
     """
-    pg = g.copy()
-    at_bound = u <= 0.0
-    pg[at_bound] = np.minimum(g[at_bound], 0.0)
-    return float(np.max(np.abs(pg)))
+    active = (u <= 0.0) & (g > 0.0)
+    g_free = np.where(active, 0.0, g)
+    return active, g_free, float(np.max(np.abs(g_free)))
 
 
 def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
@@ -346,31 +353,25 @@ def solve_dual(
     evals = 1
     trajectory = [dual_value]
 
-    pairs: deque = deque(maxlen=config.memory)
-    converged = False
+    pairs: deque = deque(maxlen=_MEMORY)
     iterations = 0
 
-    for _ in range(config.max_iterations):
-        grad_inf = _projected_grad_inf(u, g)
-        if grad_inf <= tol:
-            converged = True
+    # Stop on the gradient test or the cap, both checked at every iterate,
+    # or on a failed line search.
+    while True:
+        active, g_free, grad_inf = _projected_gradient(u, g)
+        if grad_inf <= tol or iterations == config.max_iterations:
             break
 
         iterations += 1
-        active = (u <= 0.0) & (g > 0.0)
-        g_free = np.where(active, 0.0, g)
         d = -_two_loop_direction(g_free, pairs)
         d[active] = 0.0
         descent = float(d @ g)
         if not np.isfinite(descent) or descent >= -1e-14 * float(
             np.linalg.norm(d) * np.linalg.norm(g_free) + 1e-300
         ):
+            # Steepest descent: g_free != 0 here, so d @ g = -||g_free||^2 < 0.
             d = -g_free
-            descent = float(d @ g)
-        if descent >= 0.0:
-            # No descent direction left in the feasible cone; the projected
-            # gradient test above should have fired first.
-            break
 
         step = 1.0
         accepted = False
@@ -383,10 +384,10 @@ def solve_dual(
             dual_new, dual_grad_new, v_new, neg_new = _dual_state(problem, u_new)
             f_new = -dual_new
             evals += 1
-            if directional < 0.0 and f_new <= f + config.armijo_c * directional:
+            if directional < 0.0 and f_new <= f + _ARMIJO_C * directional:
                 accepted = True
                 break
-            step *= config.line_search_shrink
+            step *= _LINE_SEARCH_SHRINK
         if not accepted:
             break
 
@@ -401,16 +402,13 @@ def solve_dual(
         if not (np.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
         trajectory.append(-f)
-    else:
-        grad_inf = _projected_grad_inf(u, g)
-        converged = grad_inf <= tol
 
     p = _primal_from(v, neg)
     dual_value = -f
     primal_value = primal_objective(problem, p)
     report = SolveReport(
         iterations=iterations,
-        converged=converged,
+        converged=grad_inf <= tol,
         dual_objective=dual_value,
         primal_objective=primal_value,
         duality_gap=primal_value - dual_value,
@@ -426,7 +424,7 @@ def solve_dual(
 def kkt_report(
     problem: ClassProblem,
     dual: DualVariables,
-    matrix: SymmetricMatrix | None = None,
+    matrix: SymmetricMatrix,
 ) -> KktReport:
     """Measure optimality of a dual point and its recovered matrix.
 
@@ -434,15 +432,13 @@ def kkt_report(
     which should be nonnegative up to the PSD certification tolerance.
     """
     u = dual.values
-    dual_value, dual_grad, v, neg = _dual_state(problem, u)
-    if matrix is None:
-        matrix = _primal_from(v, neg)
+    dual_value, dual_grad, _, _ = _dual_state(problem, u)
 
     slack = np.abs(u * (constraint_values(problem, matrix) - problem.margin))
     primal_value = primal_objective(problem, matrix)
 
     return KktReport(
-        grad_inf_norm=_projected_grad_inf(u, -dual_grad),
+        grad_inf_norm=_projected_gradient(u, -dual_grad)[2],
         max_violation=_max_violation(problem, matrix.entries),
         complementary_slackness=float(np.max(slack)),
         duality_gap=primal_value - dual_value,
@@ -458,14 +454,13 @@ def random_class_problem(
     n_intra: int = 20,
     n_extra: int = 40,
     lam: float = 1.0,
-    margin: float = 1.0,
     spread: float = 0.5,
 ) -> ClassProblem:
     """A synthetic single-class instance for diagnostics and stress tests.
 
     Intra-class samples cluster around a random unit direction with the given
     spread, then are normalized to unit length so the constraint scale stays
-    O(margin); extra-class samples are isotropic.
+    O(1); extra-class samples are isotropic.
     """
     center = rng.normal(size=dim)
     center /= np.linalg.norm(center)
@@ -476,5 +471,4 @@ def random_class_problem(
         intra=intra,
         extra_scatter=build_scatter(extra, dim=dim),
         lam=lam,
-        margin=margin,
     )

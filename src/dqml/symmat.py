@@ -27,18 +27,13 @@ _EIG_CALLS = 0
 
 
 def eig_call_count() -> int:
-    """Number of dense eigendecompositions performed since the last reset.
+    """Number of dense eigendecompositions performed in this process.
 
     The count is process-wide: a difference of two readings, such as
     ``SolveReport.eig_calls``, is exact only when no other eigendecomposition
     runs between them, i.e. when solves do not run concurrently.
     """
     return _EIG_CALLS
-
-
-def reset_eig_call_count() -> None:
-    global _EIG_CALLS
-    _EIG_CALLS = 0
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def test_08_end_to_end_classification(verdict):
         class_count=3, dim=10, per_class=70, separation=6.0, sigma=1.0, seed=42
     )
     ds = generate_synthetic(spec)
-    split = SplitSpec(per_class_train=20, repetitions=10, seed=42)
+    split = SplitSpec(per_class_train=20, seed=42)
     grid = (0.1, 0.3, 1.0, 3.0, 10.0)
     errors = {"max": [], "nn_cosine": []}
     for r in range(10):

@@ -257,5 +257,3 @@ class TestSplit:
     def test_rejects_bad_spec(self):
         with pytest.raises(InvalidInputError):
             SplitSpec(per_class_train=0)
-        with pytest.raises(InvalidInputError):
-            SplitSpec(per_class_train=1, repetitions=0)

@@ -1,6 +1,9 @@
 """Training pipeline tests: per-class problems, feature extraction, both
 classification rules, cross-validation, and the model file round trip."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -238,8 +241,10 @@ class TestCrossValidation:
 
     def test_all_classes_too_small(self):
         ds = gaussian_dataset(per_class=3)
-        with pytest.raises(InvalidInputError, match="nothing can be validated"):
-            cross_validate_lambda(ds, [1.0], folds=10)
+        # The huge fold count must be rejected before any per-fold allocation.
+        for folds in (10, 10**12):
+            with pytest.raises(InvalidInputError, match="nothing can be validated"):
+                cross_validate_lambda(ds, [1.0], folds=folds)
 
     def test_deterministic_given_seed(self):
         ds = gaussian_dataset(per_class=6)
@@ -375,6 +380,20 @@ class TestModelFile:
         blob[30] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelChecksumError):
+            load_model(path)
+
+    def test_nonfinite_training_feature(self, tmp_path):
+        model = self.trained()
+        path = tmp_path / "m.dqml"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        # The first training feature follows the header, the class matrices
+        # and the sample count; the CRC32 trailer is recomputed to match.
+        offset = 24 + 8 * model.dim**2 * model.class_count + 4
+        struct.pack_into("<d", blob, offset, float("nan"))
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidInputError, match="non-finite"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):
