@@ -17,6 +17,7 @@ objective/gradient evaluation costs exactly one dense eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .symmat import (
     SymmetricMatrix,
-    _clamped_parts,
+    _clamped_part,
     _eigh_descending,
     eig_call_count,
     min_eigenvalue,
@@ -60,8 +61,11 @@ def build_scatter(samples: np.ndarray, dim: int | None = None) -> SymmetricMatri
         raise InvalidInputError("samples have non-finite entries")
     order = np.lexsort(x.T[::-1])
     xs = x[order]
-    s = xs.T @ xs
-    return SymmetricMatrix((s + s.T) / 2.0)
+    # Huge samples overflow to non-finite entries, which ClassProblem refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = xs.T @ xs
+        s = (s + s.T) / 2.0
+    return SymmetricMatrix(s)
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ class ClassProblem:
         object.__setattr__(self, "intra", x)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "margin", float(self.margin))
-        lam_o = self.lam * self.extra_scatter.entries
+        with np.errstate(over="ignore"):
+            lam_o = self.lam * self.extra_scatter.entries
         if not np.isfinite(lam_o).all():
             raise InvalidInputError("lam * extra_scatter has non-finite entries")
         lam_o.flags.writeable = False
@@ -219,9 +224,9 @@ def _dual_state(problem: ClassProblem, u: np.ndarray):
         w, v = _eigh_descending(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigendecomposition of M(u) failed") from exc
-    _, neg = _clamped_parts(w)
+    neg = _clamped_part(w, negative=True)
     b = problem.margin
-    dual = -0.5 * float(neg @ neg) + b * float(np.sum(u))
+    dual = -0.5 * float(neg.dot(neg)) + b * float(u.sum())
     grad = b + np.square(problem.intra @ v) @ neg
     return dual, grad, v, neg
 
@@ -299,24 +304,26 @@ def _projected_gradient(u: np.ndarray, g: np.ndarray):
     """
     active = (u <= 0.0) & (g > 0.0)
     g_free = np.where(active, 0.0, g)
-    return active, g_free, float(np.max(np.abs(g_free)))
+    return active, g_free, float(np.abs(g_free).max())
 
 
 def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
-    """L-BFGS two-loop recursion: approximates H^{-1} g."""
+    """L-BFGS two-loop recursion: approximates H^{-1} g.
+
+    Each pair is (s, y, 1/(s.y), s.y/(y.y)); the last pair's s.y/(y.y)
+    scales the initial Hessian.
+    """
     q = g.copy()
     if not pairs:
         return q
     alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * s.dot(q)
         q -= a * y
         alphas.append(a)
-    s_last, y_last, _ = pairs[-1]
-    q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        beta = rho * float(y @ q)
-        q += s * (a - beta)
+    q *= pairs[-1][3]
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+        q += s * (a - rho * y.dot(q))
     return q
 
 
@@ -366,9 +373,9 @@ def solve_dual(
         iterations += 1
         d = -_two_loop_direction(g_free, pairs)
         d[active] = 0.0
-        descent = float(d @ g)
-        if not np.isfinite(descent) or descent >= -1e-14 * float(
-            np.linalg.norm(d) * np.linalg.norm(g_free) + 1e-300
+        descent = float(d.dot(g))
+        if not math.isfinite(descent) or descent >= -1e-14 * (
+            math.sqrt(d.dot(d)) * math.sqrt(g_free.dot(g_free)) + 1e-300
         ):
             # Steepest descent: g_free != 0 here, so d @ g = -||g_free||^2 < 0.
             d = -g_free
@@ -378,9 +385,9 @@ def solve_dual(
         for _ in range(_MAX_BACKTRACKS):
             u_new = np.maximum(u + step * d, 0.0)
             delta = u_new - u
-            if not delta.any():
+            if not np.count_nonzero(delta):
                 break
-            directional = float(g @ delta)
+            directional = float(g.dot(delta))
             dual_new, dual_grad_new, v_new, neg_new = _dual_state(problem, u_new)
             f_new = -dual_new
             evals += 1
@@ -392,14 +399,14 @@ def solve_dual(
             break
 
         g_new = -dual_grad_new
-        s = u_new - u
         y = g_new - g
-        sy = float(s @ y)
-        if sy > _CURVATURE_RTOL * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
+        sy = float(delta.dot(y))
+        yy = float(y.dot(y))
+        if sy > _CURVATURE_RTOL * (math.sqrt(delta.dot(delta)) * math.sqrt(yy)):
+            pairs.append((delta, y, 1.0 / sy, sy / yy))
 
         u, f, g, v, neg = u_new, f_new, g_new, v_new, neg_new
-        if not (np.isfinite(f) and np.isfinite(g).all()):
+        if not (math.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
         trajectory.append(-f)
 

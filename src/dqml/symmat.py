@@ -48,9 +48,11 @@ class SymmetricMatrix:
             raise InvalidInputError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be at least 1")
-        diff = np.abs(arr - arr.T)
-        tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
-        with np.errstate(invalid="ignore"):
+        # Non-finite or huge entries make arr - arr.T nan or inf; the equality
+        # and nan tests below decide those entries, so numpy need not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = np.abs(arr - arr.T)
+            tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
             ok = (diff <= tol) | (arr == arr.T) | (np.isnan(arr) & np.isnan(arr.T))
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
@@ -96,21 +98,21 @@ def eigen_decompose(a: SymmetricMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _clamped_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split eigenvalues into positive/negative, zeroing the near-zero band."""
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    clamp = EIGENVALUE_CLAMP_RTOL * scale
-    pos = np.where(w > clamp, w, 0.0)
-    neg = np.where(w < -clamp, w, 0.0)
-    return pos, neg
+def _clamped_part(w: np.ndarray, negative: bool) -> np.ndarray:
+    """The negative (or positive) eigenvalues of a nonempty descending
+    spectrum w, with the near-zero band zeroed."""
+    # w is sorted descending, so max|w| is max(w[0], -w[-1]).
+    clamp = EIGENVALUE_CLAMP_RTOL * max(w[0], -w[-1])
+    if negative:
+        return np.where(w < -clamp, w, 0.0)
+    return np.where(w > clamp, w, 0.0)
 
 
 def _spectral_part(arr: np.ndarray, negative: bool) -> np.ndarray:
     """Positive or negative spectral part of a raw symmetric array."""
     _check_finite(arr)
     w, v = _eigh_descending(arr)
-    pos, neg = _clamped_parts(w)
-    r = (v * (neg if negative else pos)) @ v.T
+    r = (v * _clamped_part(w, negative)) @ v.T
     return (r + r.T) / 2.0
 
 

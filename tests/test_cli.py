@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqml
 from dqml import cli
 from dqml.datasets import SynthSpec, generate_synthetic, save_csv
 from dqml.pipeline import load_model
@@ -113,6 +118,21 @@ class TestTrain:
                         "-o", str(tmp_path / "m.dqml")])
         assert code == 3
         assert "class 2" in capsys.readouterr().err
+
+    def test_overflowing_data_exits_2_without_numpy_warnings(self, tmp_path):
+        # In a child process, so stderr is exactly what a user of the CLI sees.
+        rows = ["1,1e308,1", "1,1e308,2", "2,1e308,-1", "2,1e308,-3"]
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dqml.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dqml.cli", "train", "--data", str(data),
+             "--lambda", "1", "-o", str(tmp_path / "m.dqml")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestEval:

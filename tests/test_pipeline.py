@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dqml.datasets import SynthSpec, generate_synthetic
+from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
 from dqml.errors import (
     DegenerateFeatureError,
     InfeasibleProblemError,
@@ -145,6 +145,18 @@ class TestTrainModelSet:
         shuffled = Dataset(ds.samples[perm], ds.labels[perm])
         again = train_model_set(shuffled, lam=1.0).matrices[0].matrix.entries
         assert np.array_equal(base, again)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="projected L-BFGS stalls above grad_tol on unnormalised, clustered "
+        "classes (ROADMAP item 2)",
+    )
+    def test_converges_on_acceptance_8_reference_split(self):
+        # Repetition 0 of acceptance test 8's data at the grid's largest lambda.
+        ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
+        train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+        model = train_model_set(train, lam=10.0)
+        assert [t.report.converged for t in model.matrices] == [True] * 3
 
 
 class TestFeatures:

@@ -1,6 +1,8 @@
 """Dual solver tests: closed forms, a finite-difference gradient oracle,
 optimality certificates, and structural invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,12 +73,16 @@ class TestConstruction:
 
     def test_rejects_nonfinite_samples(self):
         ok = np.array([[1.0, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The refusal is dqml's own error, with no numpy RuntimeWarning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cases = [
                 (np.array([[1.0, np.inf]]), zero_scatter(2), 1.0),
                 (ok, SymmetricMatrix(np.diag([np.inf, 1.0])), 1.0),
                 # lam * O overflows although both factors are finite.
                 (ok, SymmetricMatrix(np.diag([1e308, 1.0])), 10.0),
+                # The scatter of huge samples overflows.
+                (ok, build_scatter(np.array([[1e308, 1.0], [-1e308, 1.0]])), 1.0),
             ]
             for intra, scatter, lam in cases:
                 with pytest.raises(InvalidInputError):

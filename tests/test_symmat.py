@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dqml.errors import InvalidInputError
+from dqml.qml import assemble_m, dual_objective, random_class_problem
 from dqml.symmat import (
+    EIGENVALUE_CLAMP_RTOL,
     PSD_CERT_TOL,
     EigenDecomposition,
     SymmetricMatrix,
+    _clamped_part,
     eig_call_count,
     eigen_decompose,
     frobenius_norm,
@@ -180,3 +183,49 @@ def test_eig_counter_tracks_decompositions():
 def test_decomposition_dataclass_fields():
     dec = EigenDecomposition(eigenvalues=np.array([1.0]), eigenvectors=np.eye(1))
     assert dec.eigenvalues.shape == (1,)
+
+
+def _parts_by_definition(w):
+    """(positive, negative) parts: |w| <= EIGENVALUE_CLAMP_RTOL * max|w| is zeroed."""
+    band = np.abs(w) <= EIGENVALUE_CLAMP_RTOL * np.max(np.abs(w))
+    return np.where(band | (w < 0), 0.0, w), np.where(band | (w > 0), 0.0, w)
+
+
+INSIDE = 0.999 * EIGENVALUE_CLAMP_RTOL
+OUTSIDE = 1.001 * EIGENVALUE_CLAMP_RTOL
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [0.0, 0.0, 0.0],
+        [1.0, INSIDE, -INSIDE, -0.5],
+        [1.0, OUTSIDE, -OUTSIDE, -0.5],
+        [1.0, EIGENVALUE_CLAMP_RTOL, -EIGENVALUE_CLAMP_RTOL],
+        # max|w| at the negative end.
+        [0.5 * INSIDE, -OUTSIDE, -1.0],
+        [-0.5 * INSIDE, -1.0],
+        [-3.0],
+        [2.0, 0.0, -3.0],
+    ],
+)
+def test_clamped_part_matches_definition(w):
+    w = np.array(w)
+    pos, neg = _parts_by_definition(w)
+    assert np.array_equal(_clamped_part(w, negative=False), pos)
+    assert np.array_equal(_clamped_part(w, negative=True), neg)
+    # The public parts use the same rule.
+    assert np.array_equal(np.diag(negative_part(SymmetricMatrix(np.diag(w))).entries), neg)
+
+
+def test_dual_objective_is_negative_part_norm():
+    rng = np.random.default_rng(11)
+    for lam in (0.1, 1.0, 10.0):
+        prob = random_class_problem(rng, dim=5, n_intra=7, n_extra=12, lam=lam)
+        for _ in range(5):
+            u = rng.uniform(0.0, 3.0, size=prob.n_intra)
+            half_sq = 0.5 * frobenius_norm(negative_part(assemble_m(prob, u))) ** 2
+            linear = prob.margin * float(np.sum(u))
+            assert abs(dual_objective(prob, u) - (linear - half_sq)) <= 1e-12 * (
+                half_sq + linear
+            )
