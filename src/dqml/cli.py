@@ -223,7 +223,11 @@ def cmd_train(args) -> int:
             "primal_objective": rep.primal_objective,
             "gap": rep.duality_gap,
             "converged": rep.converged,
+            "termination": rep.termination,
         }))
+        if not rep.converged:
+            print(f"warning: class {c} did not converge "
+                  f"({rep.termination}, grad {rep.grad_inf_norm:.3g})", file=sys.stderr)
     print(json.dumps({"model": args.out, "classes": model.class_count, "lambda": lam}))
     return 0
 

@@ -16,6 +16,7 @@ from .errors import InvalidInputError
 from .pipeline import Dataset
 
 RASTER_SIZE = (32, 32)
+_LABEL_MAX = int(np.iinfo(np.int64).max)  # labels are parsed as int64
 
 
 @dataclass(frozen=True)
@@ -57,57 +58,83 @@ class SynthSpec:
 def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
     """Read rows of ``label,v1,...,vm``.
 
-    Labels are relabeled to contiguous 1..C in order of first appearance;
-    the original -> new map is returned alongside the dataset.
+    Whitespace around a cell is allowed and blank lines are skipped. Labels
+    are positive integers; they are relabeled to contiguous 1..C in sorted
+    order of the original values, so labels that already are 1..C keep
+    their values. The original -> new map is returned alongside the dataset.
     """
-    rows: list[list[float]] = []
-    raw_labels: list[int] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise InvalidInputError(
-                        f"{path}: row {lineno}: need a label and at least one value"
-                    )
-            elif len(cells) != width:
-                raise InvalidInputError(
-                    f"{path}: row {lineno}: expected {width} cells, got {len(cells)}"
-                )
-            try:
-                label = int(cells[0])
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: row {lineno}: label {cells[0]!r} is not an integer"
-                ) from None
-            if label < 1:
-                raise InvalidInputError(
-                    f"{path}: row {lineno}: label must be positive, got {label}"
-                )
-            try:
-                values = [float(cell) for cell in cells[1:]]
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: row {lineno}: non-numeric value"
-                ) from None
-            raw_labels.append(label)
-            rows.append(values)
+        lines = fh.read().split("\n")
+    first = 1 if has_header else 0
+    rows = [line for line in lines[first:] if line.strip()]
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
+    width = rows[0].count(",") + 1
+    if width < 2:
+        _raise_first_bad_row(path, lines, first)
+    try:
+        table = np.loadtxt(
+            rows,
+            dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
+            delimiter=",",
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(path, lines, first)
+        # A cell float() reads but numpy does not, such as 1_0.
+        raise InvalidInputError(f"{path}: {exc}") from None
+    if table["label"].min() < 1:
+        _raise_first_bad_row(path, lines, first)
 
-    relabel: dict[int, int] = {}
-    for lab in raw_labels:
-        if lab not in relabel:
-            relabel[lab] = len(relabel) + 1
-    labels = np.array([relabel[lab] for lab in raw_labels])
-    return Dataset(np.array(rows), labels), relabel
+    originals, labels = np.unique(table["label"], return_inverse=True)
+    relabel = {lab: new for new, lab in enumerate(originals.tolist(), start=1)}
+    return Dataset(table["x"], labels + 1), relabel
+
+
+def _raise_first_bad_row(path, lines: list[str], first: int) -> None:
+    """Raise the InvalidInputError that names the first malformed data line.
+
+    Only load_csv's error path calls this; it returns when every line is
+    well formed.
+    """
+    width = None
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if width < 2:
+                raise InvalidInputError(
+                    f"{path}: row {lineno}: need a label and at least one value"
+                )
+        elif len(cells) != width:
+            raise InvalidInputError(
+                f"{path}: row {lineno}: expected {width} cells, got {len(cells)}"
+            )
+        try:
+            label = int(cells[0])
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}: row {lineno}: label {cells[0]!r} is not an integer"
+            ) from None
+        if label < 1:
+            raise InvalidInputError(
+                f"{path}: row {lineno}: label must be positive, got {label}"
+            )
+        if label > _LABEL_MAX:
+            raise InvalidInputError(
+                f"{path}: row {lineno}: label {label} does not fit in 64 bits"
+            )
+        try:
+            for cell in cells[1:]:
+                float(cell)
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}: row {lineno}: non-numeric value"
+            ) from None
 
 
 def save_csv(ds: Dataset, path) -> None:

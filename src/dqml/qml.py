@@ -161,12 +161,15 @@ class SolveReport:
     """How a solve_dual run ended, measured at the returned multipliers.
 
     ``converged`` means grad_inf_norm <= grad_tol * max(1, margin) there.
-    ``iterations`` counts the steps attempted, including a last one whose
-    line search failed; ``dual_trajectory`` has one entry per accepted point.
+    ``termination`` names the exit taken: "converged", "max_iterations" or
+    "line_search_failed". ``iterations`` counts the steps attempted,
+    including a last one whose line search failed; ``dual_trajectory`` has
+    one entry per accepted point.
     """
 
     iterations: int
     converged: bool
+    termination: str
     dual_objective: float
     primal_objective: float
     duality_gap: float
@@ -367,7 +370,11 @@ def solve_dual(
     # or on a failed line search.
     while True:
         active, g_free, grad_inf = _projected_gradient(u, g)
-        if grad_inf <= tol or iterations == config.max_iterations:
+        if grad_inf <= tol:
+            termination = "converged"
+            break
+        if iterations == config.max_iterations:
+            termination = "max_iterations"
             break
 
         iterations += 1
@@ -396,6 +403,7 @@ def solve_dual(
                 break
             step *= _LINE_SEARCH_SHRINK
         if not accepted:
+            termination = "line_search_failed"
             break
 
         g_new = -dual_grad_new
@@ -416,6 +424,7 @@ def solve_dual(
     report = SolveReport(
         iterations=iterations,
         converged=grad_inf <= tol,
+        termination=termination,
         dual_objective=dual_value,
         primal_objective=primal_value,
         duality_gap=primal_value - dual_value,

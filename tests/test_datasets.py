@@ -1,6 +1,8 @@
 """Dataset ingestion tests: CSV parsing and relabeling, the PGM reader and
 bilinear resize, synthetic generators, and the split protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,17 +24,19 @@ from dqml.pipeline import Dataset
 class TestCsv:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.5\n2,1,0\n")
-        ds, relabel = load_csv(p)
-        assert ds.n == 2 and ds.dim == 2 and ds.class_count == 2
-        assert relabel == {1: 1, 2: 2}
+        for text in ("1,0.5,0.5\n2,1,0\n", " 1 , 0.5,\t0.5 \n\n \t \n2,1 ,0\n"):
+            p.write_text(text)
+            ds, relabel = load_csv(p)
+            assert ds.n == 2 and ds.dim == 2 and ds.class_count == 2
+            assert relabel == {1: 1, 2: 2}
+            assert ds.samples.tolist() == [[0.5, 0.5], [1.0, 0.0]]
 
-    def test_relabeling_follows_first_appearance(self, tmp_path):
+    def test_relabeling_follows_sorted_order(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("9,1.0\n7,2.0\n9,3.0\n")
         ds, relabel = load_csv(p)
-        assert relabel == {9: 1, 7: 2}
-        assert ds.labels.tolist() == [1, 2, 1]
+        assert relabel == {7: 1, 9: 2}
+        assert ds.labels.tolist() == [2, 1, 2]
 
     def test_header_skipping(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -40,43 +44,80 @@ class TestCsv:
         ds, _ = load_csv(p, has_header=True)
         assert ds.n == 2
 
+    # A header, then blank and whitespace-only lines: line 5 is the second row.
+    PADDED = "label,a,b\n1,0.5,0.5\n\n  \t\n{}\n"
+
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.5\n2,1\n")
-        with pytest.raises(InvalidInputError, match="row 2"):
-            load_csv(p)
+        cases = [
+            ("1,0.5,0.5\n2,1\n", False, "row 2"),
+            (self.PADDED.format("2,1"), True, "row 5"),
+            ("1,0.5\n2,0.5,\n", False, "row 2: expected 2 cells, got 3"),
+            ("1,0.5,\n2,0.5,\n", False, "row 1: non-numeric"),
+        ]
+        for text, header, message in cases:
+            p.write_text(text)
+            with pytest.raises(InvalidInputError, match=message):
+                load_csv(p, has_header=header)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5\n2,abc\n")
-        with pytest.raises(InvalidInputError, match="row 2"):
-            load_csv(p)
+        cases = [
+            ("1,0.5\n2,abc\n", False, "row 2"),
+            (self.PADDED.format("2,0.5,abc"), True, "row 5: non-numeric"),
+            # float() reads 1_0, numpy does not; numpy's message names the cell.
+            ("1,0.5\n2,1_0\n", False, "1_0"),
+        ]
+        for text, header, message in cases:
+            p.write_text(text)
+            with pytest.raises(InvalidInputError, match=message):
+                load_csv(p, has_header=header)
 
     def test_bad_label_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1.5,0.5\n")
-        with pytest.raises(InvalidInputError, match="row 1"):
-            load_csv(p)
-        p.write_text("0,0.5\n")
-        with pytest.raises(InvalidInputError, match="positive"):
-            load_csv(p)
+        cases = [
+            ("1.5,0.5\n", False, "row 1"),
+            ("1.0,0.5\n", False, "row 1: label '1.0' is not an integer"),
+            ("0,0.5\n", False, "positive"),
+            (self.PADDED.format("x,0.5,0.5"), True, "row 5: label 'x'"),
+            (self.PADDED.format("-3,0.5,0.5"), True, "row 5: label must be positive"),
+            ("1,0.5\n9223372036854775808,0.5\n", False, "row 2: label .* 64 bits"),
+        ]
+        for text, header, message in cases:
+            p.write_text(text)
+            with pytest.raises(InvalidInputError, match=message):
+                load_csv(p, has_header=header)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("")
-        with pytest.raises(InvalidInputError, match="no data rows"):
-            load_csv(p)
+        for text, header in (("", False), ("\n  \n", False), ("label,x1\n", True)):
+            p.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="no data rows"):
+                    load_csv(p, has_header=header)
 
     def test_round_trip_and_stable_bytes(self, tmp_path):
-        ds = generate_synthetic(SynthSpec(2, 3, 4, separation=2.0, sigma=0.5, seed=1))
+        synthetic = generate_synthetic(
+            SynthSpec(2, 3, 4, separation=2.0, sigma=0.5, seed=1)
+        )
+        extreme = Dataset(
+            np.array([
+                [-0.0, 5e-324, 1e308],
+                [-1e308, 0.1 + 0.2, 1.2345678901234567],
+                [2.2250738585072014e-308, -5e-324, 9007199254740993.0],
+            ]),
+            np.array([1, 2, 1]),
+        )
         p = tmp_path / "d.csv"
-        save_csv(ds, p)
-        first = p.read_bytes()
-        back, _ = load_csv(p)
-        assert np.array_equal(back.samples, ds.samples)
-        assert np.array_equal(back.labels, ds.labels)
-        save_csv(back, p)
-        assert p.read_bytes() == first
+        for ds in (synthetic, extreme):
+            save_csv(ds, p)
+            first = p.read_bytes()
+            back, _ = load_csv(p)
+            assert back.samples.tobytes() == ds.samples.tobytes()
+            assert np.array_equal(back.labels, ds.labels)
+            save_csv(back, p)
+            assert p.read_bytes() == first
 
     def test_sidecar(self, tmp_path):
         p = tmp_path / "d.csv"

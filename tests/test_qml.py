@@ -180,6 +180,7 @@ class TestSolver:
         prob = random_class_problem(rng, dim=6, n_intra=15, n_extra=30)
         trained = solve_dual(prob)
         assert trained.report.converged
+        assert trained.report.termination == "converged"
         rep = kkt_report(prob, trained.dual, trained.matrix)
         scale = max(1.0, abs(rep.primal_objective))
         assert abs(rep.duality_gap) <= 1e-6 * scale
@@ -224,9 +225,20 @@ class TestSolver:
         trained = solve_dual(prob, SolverConfig(max_iterations=3))
         assert trained.report.iterations == 3
         assert trained.report.converged is False
+        assert trained.report.termination == "max_iterations"
         # The reported gradient is the one at the returned multipliers.
         kkt = kkt_report(prob, trained.dual, trained.matrix)
         assert trained.report.grad_inf_norm == kkt.grad_inf_norm
+
+    def test_tolerance_below_rounding_ends_in_line_search_failure(self):
+        # No step can lower -D by the Armijo amount once the gradient is
+        # near rounding, so the line search fails before grad_tol is met.
+        rng = np.random.default_rng(0)
+        prob = random_class_problem(rng, dim=6, n_intra=10, n_extra=20)
+        trained = solve_dual(prob, SolverConfig(max_iterations=2000, grad_tol=1e-14))
+        assert trained.report.termination == "line_search_failed"
+        assert trained.report.converged is False
+        assert trained.report.iterations < 2000
 
     def test_margin_scaling_relation(self):
         # P(b, lam) = b * P(1, lam / b): substituting P = bQ rescales the
