@@ -7,8 +7,10 @@ Gaussian class generators, and the repeated random train/test split protocol.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -71,32 +73,47 @@ def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
         raise InvalidInputError(f"{path}: no data rows")
     width = rows[0].count(",") + 1
     if width < 2:
-        _raise_first_bad_row(path, lines, first)
+        _raise_first_bad_row(path, lines, first, "need a label and a value")
     try:
-        table = np.loadtxt(
-            rows,
-            dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
-            delimiter=",",
-            comments=None,
-            ndmin=1,
-        )
-    except ValueError as exc:
-        _raise_first_bad_row(path, lines, first)
-        # A cell float() reads but numpy does not, such as 1_0.
-        raise InvalidInputError(f"{path}: {exc}") from None
+        # numpy releases that still read an i8 cell such as 1.5 through
+        # float warn with a DeprecationWarning; as an error it refuses 1.5.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                rows,
+                dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
+                delimiter=",",
+                comments=None,
+                ndmin=1,
+            )
+    except (ValueError, DeprecationWarning) as exc:
+        _raise_first_bad_row(path, lines, first, str(exc))
     if table["label"].min() < 1:
-        _raise_first_bad_row(path, lines, first)
+        _raise_first_bad_row(path, lines, first, "label must be positive")
 
     originals, labels = np.unique(table["label"], return_inverse=True)
     relabel = {lab: new for new, lab in enumerate(originals.tolist(), start=1)}
     return Dataset(table["x"], labels + 1), relabel
 
 
-def _raise_first_bad_row(path, lines: list[str], first: int) -> None:
+def _numpy_reads(cell: str, parse) -> bool:
+    """Whether np.loadtxt reads ``cell`` as ``parse`` (int or float) does.
+
+    numpy's text parser takes what Python's int() and float() take, less
+    underscores between digits and non-ASCII digits.
+    """
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.strip().isascii()
+
+
+def _raise_first_bad_row(path, lines: list[str], first: int, reason: str) -> NoReturn:
     """Raise the InvalidInputError that names the first malformed data line.
 
-    Only load_csv's error path calls this; it returns when every line is
-    well formed.
+    Only load_csv's error path calls this. ``reason`` is the error raised
+    when no line breaks a rule checked here.
     """
     width = None
     for lineno, line in enumerate(lines[first:], start=first + 1):
@@ -114,12 +131,11 @@ def _raise_first_bad_row(path, lines: list[str], first: int) -> None:
             raise InvalidInputError(
                 f"{path}: row {lineno}: expected {width} cells, got {len(cells)}"
             )
-        try:
-            label = int(cells[0])
-        except ValueError:
+        if not _numpy_reads(cells[0], int):
             raise InvalidInputError(
                 f"{path}: row {lineno}: label {cells[0]!r} is not an integer"
-            ) from None
+            )
+        label = int(cells[0])
         if label < 1:
             raise InvalidInputError(
                 f"{path}: row {lineno}: label must be positive, got {label}"
@@ -128,13 +144,9 @@ def _raise_first_bad_row(path, lines: list[str], first: int) -> None:
             raise InvalidInputError(
                 f"{path}: row {lineno}: label {label} does not fit in 64 bits"
             )
-        try:
-            for cell in cells[1:]:
-                float(cell)
-        except ValueError:
-            raise InvalidInputError(
-                f"{path}: row {lineno}: non-numeric value"
-            ) from None
+        if not all(_numpy_reads(cell, float) for cell in cells[1:]):
+            raise InvalidInputError(f"{path}: row {lineno}: non-numeric value")
+    raise InvalidInputError(f"{path}: {reason}")
 
 
 def save_csv(ds: Dataset, path) -> None:

@@ -160,15 +160,14 @@ class SolverConfig:
 class SolveReport:
     """How a solve_dual run ended, measured at the returned multipliers.
 
-    ``converged`` means grad_inf_norm <= grad_tol * max(1, margin) there.
-    ``termination`` names the exit taken: "converged", "max_iterations" or
+    ``termination`` names the exit taken: "converged" (grad_inf_norm <=
+    grad_tol * max(1, margin) there), "max_iterations" or
     "line_search_failed". ``iterations`` counts the steps attempted,
     including a last one whose line search failed; ``dual_trajectory`` has
     one entry per accepted point.
     """
 
     iterations: int
-    converged: bool
     termination: str
     dual_objective: float
     primal_objective: float
@@ -178,6 +177,10 @@ class SolveReport:
     objective_evals: int
     eig_calls: int
     dual_trajectory: tuple[float, ...] = field(repr=False, default=())
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
 
 @dataclass(frozen=True)
@@ -423,7 +426,6 @@ def solve_dual(
     primal_value = primal_objective(problem, p)
     report = SolveReport(
         iterations=iterations,
-        converged=grad_inf <= tol,
         termination=termination,
         dual_objective=dual_value,
         primal_objective=primal_value,

@@ -65,8 +65,9 @@ class TestCsv:
         cases = [
             ("1,0.5\n2,abc\n", False, "row 2"),
             (self.PADDED.format("2,0.5,abc"), True, "row 5: non-numeric"),
-            # float() reads 1_0, numpy does not; numpy's message names the cell.
-            ("1,0.5\n2,1_0\n", False, "1_0"),
+            # float() reads 1_0 and a full-width 1, numpy does not.
+            (self.PADDED.format("2,0.5,1_0"), True, "row 5: non-numeric"),
+            ("1,0.5\n2,\uff11\n", False, "row 2: non-numeric"),
         ]
         for text, header, message in cases:
             p.write_text(text)
@@ -78,6 +79,8 @@ class TestCsv:
         cases = [
             ("1.5,0.5\n", False, "row 1"),
             ("1.0,0.5\n", False, "row 1: label '1.0' is not an integer"),
+            ("1,0.5\n2.9,0.5\n", False, "row 2: label '2.9' is not an integer"),
+            (self.PADDED.format("1_0,0.5,0.5"), True, "row 5: label '1_0'"),
             ("0,0.5\n", False, "positive"),
             (self.PADDED.format("x,0.5,0.5"), True, "row 5: label 'x'"),
             (self.PADDED.format("-3,0.5,0.5"), True, "row 5: label must be positive"),
@@ -85,8 +88,32 @@ class TestCsv:
         ]
         for text, header, message in cases:
             p.write_text(text)
-            with pytest.raises(InvalidInputError, match=message):
-                load_csv(p, has_header=header)
+            # Python's default filters ignore DeprecationWarning outside
+            # __main__; the refusal must not depend on the caller's filters.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(InvalidInputError, match=message):
+                    load_csv(p, has_header=header)
+
+    def test_label_read_through_float_is_refused(self, tmp_path, monkeypatch):
+        # numpy releases before the deprecation expired read an int64 cell
+        # such as 1.5 through float, truncate it and only warn.
+        real_loadtxt = np.loadtxt
+
+        def lenient_loadtxt(rows, dtype, **kwargs):
+            warnings.warn(
+                "loadtxt(): Parsing an integer via a float is deprecated.",
+                DeprecationWarning,
+            )
+            return real_loadtxt([r.replace("1.5", "1") for r in rows], dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        p = tmp_path / "d.csv"
+        p.write_text("2,0.5\n1.5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(InvalidInputError, match="row 2: label '1.5'"):
+                load_csv(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
