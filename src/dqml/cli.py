@@ -86,8 +86,8 @@ def _lambda_grid(text: str) -> tuple[float, ...]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iterations", type=_positive_int, default=500)
-    p.add_argument("--grad-tol", type=_positive_float, default=1e-7)
+    p.add_argument("--max-iterations", type=_positive_int, default=SolverConfig.max_iterations)
+    p.add_argument("--grad-tol", type=_positive_float, default=SolverConfig.grad_tol)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -144,15 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-instances", type=_positive_int, default=10)
     p.add_argument("--dim", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=_positive_float, default=None,
-                   help="regularization weight (default 1; 0.1 with --grid-oracle)")
-    p.add_argument("--n-intra", type=_positive_int, default=None,
-                   help="intra-class samples per instance (default 12; 5 with --grid-oracle)")
-    p.add_argument("--n-extra", type=_positive_int, default=None,
-                   help="extra-class samples per instance (default 24; 4 with --grid-oracle)")
     p.add_argument("--grid-oracle", action="store_true",
                    help="compare against the exhaustive 2-d grid (dim must be 2); "
-                   "instance defaults shrink so the grid bracket covers the optimum")
+                   "instances shrink so the grid bracket covers the optimum")
     p.add_argument("--step", type=_positive_float, default=0.01,
                    help="grid resolution for --grid-oracle")
     p.add_argument("--penalty-oracle", action="store_true",
@@ -303,10 +297,7 @@ def _fd_dual_gradient(prob, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def cmd_diagnose(args) -> int:
     if args.grid_oracle and args.dim != 2:
         raise InvalidInputError("--grid-oracle needs --dim 2")
-    lam = args.lam if args.lam is not None else (0.1 if args.grid_oracle else 1.0)
-    n_intra = args.n_intra if args.n_intra is not None else (5 if args.grid_oracle else 12)
-    n_extra = args.n_extra if args.n_extra is not None else (4 if args.grid_oracle else 24)
-    spread = 0.25 if args.grid_oracle else 0.5
+    lam, n_intra, n_extra, spread = (0.1, 5, 4, 0.25) if args.grid_oracle else (1.0, 12, 24, 0.5)
     config = _solver_config(args)
 
     checks = []  # (instance, name, value, tolerance, passed)

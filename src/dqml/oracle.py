@@ -30,6 +30,7 @@ from .symmat import SymmetricMatrix, _spectral_part, quad_forms
 
 DEFAULT_SCHEDULE = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 MAX_INNER_STEPS = 2000
+INNER_TOL = 1e-10  # relative step size that ends a penalty stage
 GRID_PSD_TOL = 1e-9
 UNBOUNDED_FLOOR = -1e12
 
@@ -155,24 +156,9 @@ def _smooth_objective(problem: ClassProblem, p: np.ndarray, linear_objective: bo
     return _primal_value(problem, p)
 
 
-def _power_iteration_lmax(g: np.ndarray, iterations: int = 100) -> float:
-    """Largest eigenvalue of a PSD matrix, deterministic all-ones start."""
-    v = np.ones(g.shape[0]) / np.sqrt(g.shape[0])
-    lam = 0.0
-    for _ in range(iterations):
-        w = g @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ g @ v)
-    return lam
-
-
 def _penalty_descent(
     problem: ClassProblem,
     schedule,
-    inner_tol: float,
     linear_objective: bool,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Shared penalty loop.
@@ -194,7 +180,7 @@ def _penalty_descent(
     smooth_grad_const = o if linear_objective else problem.lam * o
 
     gram = x @ x.T
-    ghat_lmax = _power_iteration_lmax(gram * gram)
+    ghat_lmax = float(np.linalg.eigvalsh(gram * gram)[-1])
 
     p = np.zeros((problem.dim, problem.dim))
     stage_violations: list[float] = []
@@ -219,7 +205,7 @@ def _penalty_descent(
                 )
             moved = float(np.linalg.norm(p_next - p))
             p = p_next
-            if moved <= inner_tol * (1.0 + float(np.linalg.norm(p))):
+            if moved <= INNER_TOL * (1.0 + float(np.linalg.norm(p))):
                 break
         stage_violations.append(_max_violation(problem, p))
     return p, schedule[-1], stage_violations
@@ -238,10 +224,10 @@ def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
 
 
 def _penalty_solve(
-    problem: ClassProblem, schedule, inner_tol: float, linear_objective: bool
+    problem: ClassProblem, schedule, linear_objective: bool
 ) -> OracleResult:
     p, final_rho, stage_violations = _penalty_descent(
-        problem, schedule, inner_tol, linear_objective
+        problem, schedule, linear_objective
     )
     p = _polish_feasible(problem, p)
     return OracleResult(
@@ -257,7 +243,6 @@ def _penalty_solve(
 def solve_primal_penalty(
     problem: ClassProblem,
     schedule=DEFAULT_SCHEDULE,
-    inner_tol: float = 1e-10,
 ) -> OracleResult:
     """Quadratic-penalty solve of the regularized primal.
 
@@ -266,13 +251,12 @@ def solve_primal_penalty(
     after every step; rho then increases along the schedule. A final
     rescale makes the worst constraint hold exactly.
     """
-    return _penalty_solve(problem, schedule, inner_tol, linear_objective=False)
+    return _penalty_solve(problem, schedule, linear_objective=False)
 
 
 def solve_unregularized(
     problem: ClassProblem,
     schedule=DEFAULT_SCHEDULE,
-    inner_tol: float = 1e-10,
 ) -> OracleResult:
     """Penalty solve of the unregularized criterion tr(P O) under the same
     constraints.
@@ -280,4 +264,4 @@ def solve_unregularized(
     Without the Frobenius term the objective is linear, so boundedness
     depends on the data; a runaway objective raises UnboundedProblemError.
     """
-    return _penalty_solve(problem, schedule, inner_tol, linear_objective=True)
+    return _penalty_solve(problem, schedule, linear_objective=True)

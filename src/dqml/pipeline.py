@@ -165,7 +165,7 @@ def build_class_problem(ds: Dataset, c: int, lam: float) -> ClassProblem:
     extra = ds.samples[~mask]
     return ClassProblem(
         intra=intra,
-        extra_scatter=build_scatter(extra, dim=ds.dim),
+        extra_scatter=build_scatter(extra),
         lam=lam,
         margin=1.0,
     )

@@ -40,7 +40,7 @@ _LINE_SEARCH_SHRINK = 0.5
 _ARMIJO_C = 1e-4
 
 
-def build_scatter(samples: np.ndarray, dim: int | None = None) -> SymmetricMatrix:
+def build_scatter(samples: np.ndarray) -> SymmetricMatrix:
     """Scatter matrix sum_j x_j x_j^T of the given sample rows.
 
     Rows are put into a canonical order before accumulation so the result is
@@ -50,13 +50,10 @@ def build_scatter(samples: np.ndarray, dim: int | None = None) -> SymmetricMatri
     if x.ndim != 2:
         raise InvalidInputError(f"expected a 2-d sample array, got shape {x.shape}")
     if x.shape[0] == 0:
-        if dim is None:
-            dim = x.shape[1]
+        dim = x.shape[1]
         if dim < 1:
             raise InvalidInputError("sample dimension must be at least 1")
         return SymmetricMatrix(np.zeros((dim, dim)))
-    if dim is not None and x.shape[1] != dim:
-        raise InvalidInputError(f"expected dimension {dim}, got {x.shape[1]}")
     if not np.isfinite(x).all():
         raise InvalidInputError("samples have non-finite entries")
     order = np.lexsort(x.T[::-1])
@@ -150,8 +147,9 @@ class SolverConfig:
     grad_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {n!r}")
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise InvalidInputError("grad_tol must be positive and finite")
 
@@ -163,8 +161,7 @@ class SolveReport:
     ``termination`` names the exit taken: "converged" (grad_inf_norm <=
     grad_tol * max(1, margin) there), "max_iterations" or
     "line_search_failed". ``iterations`` counts the steps attempted,
-    including a last one whose line search failed; ``dual_trajectory`` has
-    one entry per accepted point.
+    including a last one whose line search failed.
     """
 
     iterations: int
@@ -176,7 +173,6 @@ class SolveReport:
     max_violation: float
     objective_evals: int
     eig_calls: int
-    dual_trajectory: tuple[float, ...] = field(repr=False, default=())
 
     @property
     def converged(self) -> bool:
@@ -364,7 +360,6 @@ def solve_dual(
     f = -dual_value
     g = -dual_grad
     evals = 1
-    trajectory = [dual_value]
 
     pairs: deque = deque(maxlen=_MEMORY)
     iterations = 0
@@ -419,7 +414,6 @@ def solve_dual(
         u, f, g, v, neg = u_new, f_new, g_new, v_new, neg_new
         if not (math.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
-        trajectory.append(-f)
 
     p = _primal_from(v, neg)
     dual_value = -f
@@ -434,7 +428,6 @@ def solve_dual(
         max_violation=_max_violation(problem, p.entries),
         objective_evals=evals,
         eig_calls=eig_call_count() - eig_before,
-        dual_trajectory=tuple(trajectory),
     )
     return TrainedQuadraticMatrix(matrix=p, dual=DualVariables(u), report=report)
 
@@ -449,7 +442,7 @@ def kkt_report(
     All quantities should be near zero at an optimum except min_eigenvalue,
     which should be nonnegative up to the PSD certification tolerance.
     """
-    u = dual.values
+    u = _check_dual_point(problem, dual.values)
     dual_value, dual_grad, _, _ = _dual_state(problem, u)
 
     slack = np.abs(u * (constraint_values(problem, matrix) - problem.margin))
@@ -487,6 +480,6 @@ def random_class_problem(
     extra = rng.normal(size=(n_extra, dim)) / np.sqrt(dim)
     return ClassProblem(
         intra=intra,
-        extra_scatter=build_scatter(extra, dim=dim),
+        extra_scatter=build_scatter(extra),
         lam=lam,
     )

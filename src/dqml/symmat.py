@@ -147,7 +147,3 @@ def min_eigenvalue(a: SymmetricMatrix) -> float:
     _check_finite(a.entries)
     w, _ = _eigh_descending(a.entries)
     return float(w[-1])
-
-
-def is_psd(a: SymmetricMatrix, tol: float = PSD_CERT_TOL) -> bool:
-    return min_eigenvalue(a) >= -tol

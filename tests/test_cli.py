@@ -319,3 +319,18 @@ class TestDiagnose:
         bad = [c for c in payload["checks"] if not c["pass"]]
         assert {c["check"] for c in bad} == {"gradient_fd_rel_error"}
         assert {c["instance"] for c in bad} == {0, 1}
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        """Every ``dqml ...`` line in README's "Command line" block parses."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("dqml ")]
+        assert len(lines) >= 6
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(line.split()[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")

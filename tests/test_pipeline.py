@@ -408,6 +408,32 @@ class TestModelFile:
         with pytest.raises(InvalidInputError, match="non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "cut, field, error, match",
+        [
+            (6, None, ModelTruncatedError, "inside the header"),
+            (12, None, ModelTruncatedError, "inside the header"),
+            (None, 8, ModelFormatError, "m=0"),
+            (None, 12, ModelFormatError, "C=0"),
+            (24 + 8, None, ModelTruncatedError, "inside the matrix payload"),
+        ],
+        ids=["before-version", "after-version", "m-zero", "c-zero", "inside-matrices"],
+    )
+    def test_header_and_payload_refusals(self, tmp_path, cut, field, error, match):
+        path = tmp_path / "m.dqml"
+        save_model(self.trained(), path)
+        blob = bytearray(path.read_bytes())
+        if field is not None:
+            # Zero one header count (m at byte 8, C at 12); the CRC32 trailer
+            # is recomputed so only the header is wrong.
+            struct.pack_into("<I", blob, field, 0)
+            struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        if cut is not None:
+            blob = blob[:cut]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error, match=match):
+            load_model(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "m.dqml"
         save_model(self.trained(), path)

@@ -97,6 +97,10 @@ class TestConstruction:
             SolverConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             SolverConfig(grad_tol=0.0)
+        # A fractional cap would never equal the iteration count.
+        with pytest.raises(InvalidInputError, match="integer"):
+            SolverConfig(max_iterations=2.5)
+        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestBuildScatter:
@@ -188,13 +192,22 @@ class TestSolver:
         assert rep.complementary_slackness <= 1e-5
         assert rep.min_eigenvalue >= -1e-8
 
-    def test_dual_trajectory_is_monotone(self):
+    def test_kkt_report_rejects_short_dual(self):
+        rng = np.random.default_rng(0)
+        prob = random_class_problem(rng, dim=6, n_intra=10, n_extra=20)
+        trained = solve_dual(prob)
+        short = DualVariables(trained.dual.values[:-1])
+        with pytest.raises(InvalidInputError, match="expected 10 dual variables"):
+            kkt_report(prob, short, trained.matrix)
+
+    def test_dual_objective_does_not_fall_with_more_iterations(self):
         rng = np.random.default_rng(21)
         prob = random_class_problem(rng, dim=7, n_intra=12, n_extra=20)
-        trained = solve_dual(prob)
-        traj = np.array(trained.report.dual_trajectory)
-        assert traj.size >= 2
-        assert np.all(np.diff(traj) >= -1e-12)
+        values = [
+            solve_dual(prob, SolverConfig(max_iterations=k)).report.dual_objective
+            for k in range(1, 25)
+        ]
+        assert np.all(np.diff(values) >= -1e-12)
 
     def test_eig_calls_match_objective_evals(self):
         rng = np.random.default_rng(2)

@@ -17,7 +17,6 @@ from dqml.symmat import (
     eig_call_count,
     eigen_decompose,
     frobenius_norm,
-    is_psd,
     min_eigenvalue,
     negative_part,
     positive_part,
@@ -104,10 +103,6 @@ class TestHandChecked:
 
     def test_min_eigenvalue(self):
         assert min_eigenvalue(sym([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0)
-
-    def test_is_psd(self):
-        assert is_psd(sym([[2.0, 1.0], [1.0, 2.0]]))
-        assert not is_psd(sym([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_trace_product_dim_mismatch(self):
         with pytest.raises(InvalidInputError, match="mismatch"):
