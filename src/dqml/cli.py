@@ -218,6 +218,9 @@ def cmd_train(args) -> int:
             "gap": rep.duality_gap,
             "converged": rep.converged,
             "termination": rep.termination,
+            "evaluations": rep.objective_evals,
+            "grad_inf_norm": rep.grad_inf_norm,
+            "max_violation": rep.max_violation,
         }))
         if not rep.converged:
             print(f"warning: class {c} did not converge "
@@ -246,9 +249,11 @@ def cmd_eval(args) -> int:
         ds, _ = load_csv(args.data)
         spec = SplitSpec(per_class_train=args.m_train, seed=args.seed)
         errors = {"max": [], "nn_cosine": []}
+        lambdas = []
         for r in range(args.reps):
             train_ds, test_ds = split_random(ds, spec, r)
             lam = _protocol_lambda(args, train_ds, config)
+            lambdas.append(lam)
             model = train_model_set(train_ds, lam, config)
             for rule in ("max", "nn_cosine"):
                 errors[rule].append(evaluate(model, test_ds, rule).error_rate)
@@ -257,7 +262,9 @@ def cmd_eval(args) -> int:
             for rule, v in errors.items()
         }
         if args.json:
-            print(json.dumps({"mode": "protocol", "reps": args.reps, **summary}))
+            print(json.dumps({
+                "mode": "protocol", "reps": args.reps, "lambdas": lambdas, **summary
+            }))
         else:
             print(f"protocol: {args.reps} repetitions, {args.m_train} per class to train")
             for rule in ("max", "nn_cosine"):

@@ -13,13 +13,16 @@ where M(u) = lam*O - sum_i u_i x_i x_i^T and M_- is the negative spectral
 part of M. The optimizer is a projected L-BFGS with Armijo backtracking; the
 trained matrix is recovered in closed form as P = -M(u*)_-. Each combined
 objective/gradient evaluation costs exactly one dense eigendecomposition.
+The backtracking evaluates a trial step only if the Armijo test could accept
+it: a trial whose lower bound on -D, taken from the current point's spectrum,
+already fails the test is rejected unevaluated.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +41,7 @@ _MAX_BACKTRACKS = 60
 _MEMORY = 10  # L-BFGS (s, y) pairs kept
 _LINE_SEARCH_SHRINK = 0.5
 _ARMIJO_C = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 def build_scatter(samples: np.ndarray) -> SymmetricMatrix:
@@ -79,8 +83,6 @@ class ClassProblem:
     extra_scatter: SymmetricMatrix
     lam: float
     margin: float = 1.0
-    # lam * O, the constant term of every M(u).
-    _lam_o: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.intra, dtype=float, copy=True)
@@ -107,8 +109,6 @@ class ClassProblem:
             lam_o = self.lam * self.extra_scatter.entries
         if not np.isfinite(lam_o).all():
             raise InvalidInputError("lam * extra_scatter has non-finite entries")
-        lam_o.flags.writeable = False
-        object.__setattr__(self, "_lam_o", lam_o)
 
     @property
     def n_intra(self) -> int:
@@ -161,7 +161,10 @@ class SolveReport:
     ``termination`` names the exit taken: "converged" (grad_inf_norm <=
     grad_tol * max(1, margin) there), "max_iterations" or
     "line_search_failed". ``iterations`` counts the steps attempted,
-    including a last one whose line search failed.
+    including a last one whose line search failed. ``objective_evals``
+    counts the points evaluated: the start and the line-search trials that
+    were evaluated, not those rejected unevaluated. ``eig_calls`` counts
+    the eigendecompositions made meanwhile, one per evaluation.
     """
 
     iterations: int
@@ -208,16 +211,18 @@ class KktReport:
 def _assemble(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
     """The raw array of M(u) = lam*O - sum_i u_i x_i x_i^T."""
     x = problem.intra
-    m = problem._lam_o - (x.T * u) @ x
+    m = problem.lam * problem.extra_scatter.entries - (x.T * u) @ x
     return (m + m.T) / 2.0
 
 
 def _dual_state(problem: ClassProblem, u: np.ndarray):
-    """D(u), its gradient, and the negative spectral part of M(u).
+    """D(u), its gradient, and the spectrum of M(u).
 
     The one place the dual is evaluated: exactly one eigendecomposition per
     call. Returns (dual_value, dual_gradient, eigenvectors,
-    negative_eigenvalues).
+    negative_eigenvalues, eigenvalues, y2), eigenvalues descending, where
+    y2 = (X V)^2 holds the squared coordinates of the samples in the
+    eigenbasis.
     """
     m = _assemble(problem, u)
     if not np.isfinite(m).all():
@@ -229,8 +234,54 @@ def _dual_state(problem: ClassProblem, u: np.ndarray):
     neg = _clamped_part(w, negative=True)
     b = problem.margin
     dual = -0.5 * float(neg.dot(neg)) + b * float(u.sum())
-    grad = b + np.square(problem.intra @ v) @ neg
-    return dual, grad, v, neg
+    y2 = np.square(problem.intra @ v)
+    grad = b + y2 @ neg
+    return dual, grad, v, neg, w, y2
+
+
+def _f_lower_bound(
+    problem: ClassProblem,
+    w: np.ndarray,
+    y2: np.ndarray,
+    u: np.ndarray,
+    u_new: np.ndarray,
+    sq_norms: np.ndarray,
+    lam_o_norm: float,
+) -> float:
+    """A lower bound on the f = -D(u_new) that _dual_state would compute,
+    from the spectrum w and y2 of M(u) at the point u, without an
+    eigendecomposition. sq_norms holds ||x_i||^2 and lam_o_norm ||lam O||_F.
+
+    ||M_-||_F^2 is the squared distance from M to the PSD cone, and the cone
+    lies inside {A : diag(V^T A V) >= 0} for any orthonormal V. So
+    ||M(u_new)_-||^2 >= sum_k min(0, v_k^T M(u_new) v_k)^2, and
+    v_k^T M(u_new) v_k = w_k - (delta . y2)_k with delta = u_new - u. Hence
+    f(u_new) >= (1/2)||min(0, w - delta . y2)||^2 - b sum(u_new) =: LB.
+
+    The value returned is LB - tau, where tau covers the rounding of both
+    computations. With S = ||lam O||_F + sum_i max(u_i, u_new_i) ||x_i||^2,
+    which bounds ||M||_F at u and at u_new, and constants of order one
+    dropped:
+    - eigh is backward stable: w and V are exact for a matrix within
+      m eps S of M, and V is orthonormal to m eps. So each term
+      w_k - (delta . y2)_k, and each computed eigenvalue of M(u_new), is
+      within m eps S of its exact value; over m terms of size <= S the
+      squared norms move by <= m^2 eps S^2.
+    - assembling M(u) and M(u_new), and the product delta . y2, add n terms
+      whose sizes sum to <= S: n eps S per entry, n eps S^2 in the squared
+      norms.
+    - the clamp band zeroes eigenvalues with |w_k| <= 1e-10 max|w|, which
+      lowers the computed ||M_-||^2 by <= m (1e-10 S)^2 < m eps S^2.
+    - the subtraction of b sum(u_new), the same float on both sides, rounds
+      by <= eps (S^2 + b sum(u_new)).
+    So tau = eps ((m^2 + n) S^2 + 2 b sum(u_new)).
+    """
+    n, m = y2.shape
+    z = np.minimum(w - (u_new - u) @ y2, 0.0)
+    s = lam_o_norm + float(np.maximum(u, u_new).dot(sq_norms))
+    linear = problem.margin * float(u_new.sum())
+    tau = _EPS * ((m * m + n) * s * s + 2.0 * linear)
+    return 0.5 * float(z.dot(z)) - linear - tau
 
 
 def _primal_from(v: np.ndarray, neg: np.ndarray) -> SymmetricMatrix:
@@ -267,7 +318,7 @@ def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
 
 def recover_primal(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     """Trained matrix P = -M(u)_-, PSD by construction."""
-    _, _, v, neg = _dual_state(problem, _check_dual_point(problem, u))
+    v, neg = _dual_state(problem, _check_dual_point(problem, u))[2:4]
     return _primal_from(v, neg)
 
 
@@ -329,8 +380,9 @@ def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
     return q
 
 
-def check_feasible_samples(problem: ClassProblem) -> None:
-    """Raise when a constraint can never hold (zero-norm intra sample)."""
+def check_feasible_samples(problem: ClassProblem) -> np.ndarray:
+    """Raise when a constraint can never hold (zero-norm intra sample);
+    otherwise return the squared norms ||x_i||^2 of the intra samples."""
     norms = np.einsum("ij,ij->i", problem.intra, problem.intra)
     if (norms == 0.0).any():
         i = int(np.argmax(norms == 0.0))
@@ -338,6 +390,7 @@ def check_feasible_samples(problem: ClassProblem) -> None:
             f"intra-class sample {i} has zero norm; x^T P x >= {problem.margin} "
             "cannot be satisfied"
         )
+    return norms
 
 
 def solve_dual(
@@ -349,14 +402,15 @@ def solve_dual(
     (its constraint x^T P x >= b > 0 can never hold) and
     NumericalFailureError when an iterate stops being finite.
     """
-    check_feasible_samples(problem)
+    sq_norms = check_feasible_samples(problem)
 
     tol = config.grad_tol * max(1.0, problem.margin)
     eig_before = eig_call_count()
+    lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
-    dual_value, dual_grad, v, neg = _dual_state(problem, u)
+    dual_value, dual_grad, v, neg, w, y2 = _dual_state(problem, u)
     f = -dual_value
     g = -dual_grad
     evals = 1
@@ -393,12 +447,21 @@ def solve_dual(
             if not np.count_nonzero(delta):
                 break
             directional = float(g.dot(delta))
-            dual_new, dual_grad_new, v_new, neg_new = _dual_state(problem, u_new)
-            f_new = -dual_new
-            evals += 1
-            if directional < 0.0 and f_new <= f + _ARMIJO_C * directional:
-                accepted = True
-                break
+            armijo = f + _ARMIJO_C * directional
+            # The Armijo test rejects a trial with directional >= 0, and one
+            # whose lower bound on f(u_new) exceeds armijo: skip evaluating it.
+            if not (
+                directional >= 0.0
+                or _f_lower_bound(problem, w, y2, u, u_new, sq_norms, lam_o_norm) > armijo
+            ):
+                dual_new, dual_grad_new, v_new, neg_new, w_new, y2_new = _dual_state(
+                    problem, u_new
+                )
+                f_new = -dual_new
+                evals += 1
+                if f_new <= armijo:
+                    accepted = True
+                    break
             step *= _LINE_SEARCH_SHRINK
         if not accepted:
             termination = "line_search_failed"
@@ -411,7 +474,7 @@ def solve_dual(
         if sy > _CURVATURE_RTOL * (math.sqrt(delta.dot(delta)) * math.sqrt(yy)):
             pairs.append((delta, y, 1.0 / sy, sy / yy))
 
-        u, f, g, v, neg = u_new, f_new, g_new, v_new, neg_new
+        u, f, g, v, neg, w, y2 = u_new, f_new, g_new, v_new, neg_new, w_new, y2_new
         if not (math.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
 
@@ -443,7 +506,7 @@ def kkt_report(
     which should be nonnegative up to the PSD certification tolerance.
     """
     u = _check_dual_point(problem, dual.values)
-    dual_value, dual_grad, _, _ = _dual_state(problem, u)
+    dual_value, dual_grad = _dual_state(problem, u)[:2]
 
     slack = np.abs(u * (constraint_values(problem, matrix) - problem.margin))
     primal_value = primal_objective(problem, matrix)

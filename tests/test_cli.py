@@ -13,6 +13,7 @@ import dqml
 from dqml import cli
 from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, save_csv, split_random
 from dqml.pipeline import load_model
+from dqml.qml import SolverConfig
 
 
 def run_cli(argv):
@@ -81,6 +82,9 @@ class TestTrain:
             assert ln["termination"] == "converged"
             assert abs(ln["gap"]) <= 1e-5 * max(1.0, abs(ln["primal_objective"]))
             assert ln["iterations"] >= 1
+            assert ln["evaluations"] >= ln["iterations"] + 1
+            assert 0.0 <= ln["grad_inf_norm"] <= SolverConfig.grad_tol
+            assert 0.0 <= ln["max_violation"] <= 1e-4
         assert lines[-1]["lambda"] == 1.0
         model = load_model(model_path)
         assert model.class_count == 2
@@ -194,6 +198,7 @@ class TestEval:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps"] == 3
+        assert payload["lambdas"] == [1.0, 1.0, 1.0]
         for rule in ("max", "nn_cosine"):
             assert 0.0 <= payload[rule]["mean_error"] <= 0.5
             assert payload[rule]["std_error"] >= 0.0

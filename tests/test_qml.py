@@ -1,6 +1,7 @@
 """Dual solver tests: closed forms, a finite-difference gradient oracle,
 optimality certificates, and structural invariants."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqml import qml
+from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
 from dqml.errors import InfeasibleProblemError, InvalidInputError
+from dqml.pipeline import build_class_problem
 from dqml.qml import (
     ClassProblem,
     DualVariables,
@@ -24,7 +28,7 @@ from dqml.qml import (
     recover_primal,
     solve_dual,
 )
-from dqml.symmat import SymmetricMatrix, negative_part
+from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, negative_part
 
 
 def zero_scatter(dim):
@@ -267,6 +271,122 @@ class TestSolver:
         p1 = solve_dual(base).matrix.entries
         p3 = solve_dual(scaled).matrix.entries
         assert np.allclose(p3, 3.0 * p1, rtol=1e-5, atol=1e-6)
+
+
+def reference_split_problems(lam):
+    """The three class problems of acceptance test 8's reference split."""
+    ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
+    train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+    return [build_class_problem(train, c, lam) for c in (1, 2, 3)]
+
+
+def random_problems(count):
+    problems = []
+    for k in range(count):
+        rng = np.random.default_rng([31, k])
+        problems.append(random_class_problem(
+            rng,
+            dim=int(rng.integers(2, 13)),
+            n_intra=int(rng.integers(2, 25)),
+            n_extra=int(rng.integers(5, 40)),
+            lam=(0.1, 1.0, 10.0, 100.0)[k % 4],
+            spread=(0.05, 0.5, 2.0)[k % 3],
+        ))
+    return problems
+
+
+def f_lower_bound(problem, u, u_new):
+    """qml._f_lower_bound from the spectrum at u, as solve_dual calls it."""
+    w, y2 = qml._dual_state(problem, u)[4:]
+    sq_norms = qml.check_feasible_samples(problem)
+    lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
+    return qml._f_lower_bound(problem, w, y2, u, u_new, sq_norms, lam_o_norm)
+
+
+def report_fields(trained):
+    r = trained.report
+    return (
+        trained.dual.values.tobytes(),
+        trained.matrix.entries.tobytes(),
+        r.iterations,
+        r.termination,
+        r.dual_objective,
+        r.primal_objective,
+        r.duality_gap,
+        r.grad_inf_norm,
+        r.max_violation,
+    )
+
+
+class TestLineSearchScreen:
+    """The line search skips a trial whose certified lower bound on f = -D
+    already fails the Armijo test; the bound must hold and skip nothing the
+    test would accept."""
+
+    PROBLEMS = [*random_problems(10), *(p for lam in (0.1, 1.0, 10.0)
+                                       for p in reference_split_problems(lam))]
+
+    @pytest.mark.parametrize("index", range(len(PROBLEMS)))
+    def test_bound_is_below_f(self, index):
+        prob = self.PROBLEMS[index]
+        rng = np.random.default_rng([32, index])
+        # Multipliers near the optimum scale like 1/||x||^4.
+        unit = 1.0 / float(np.mean(qml.check_feasible_samples(prob))) ** 2
+        for _ in range(20):
+            scale = unit * 10.0 ** rng.uniform(-2, 2)
+            u = scale * rng.exponential(size=prob.n_intra)
+            u[rng.random(prob.n_intra) < 0.2] = 0.0
+            for reach in (1e-8, 1e-3, 1.0, 30.0):
+                u_new = np.maximum(u + reach * scale * rng.normal(size=u.size), 0.0)
+                f_new = -dual_objective(prob, u_new)
+                assert f_lower_bound(prob, u, u_new) <= f_new
+
+    @pytest.mark.parametrize("index", range(len(PROBLEMS)))
+    def test_bound_is_exact_at_zero_step(self, index):
+        prob = self.PROBLEMS[index]
+        rng = np.random.default_rng([33, index])
+        sq_norms = qml.check_feasible_samples(prob)
+        unit = 1.0 / float(np.mean(sq_norms)) ** 2
+        checked = 0
+        for _ in range(20):
+            u = unit * 10.0 ** rng.uniform(-2, 2) * rng.exponential(size=prob.n_intra)
+            w = qml._dual_state(prob, u)[4]
+            if (np.abs(w) <= EIGENVALUE_CLAMP_RTOL * np.abs(w).max()).any():
+                continue
+            checked += 1
+            f = -dual_objective(prob, u)
+            # The bound's rounding margin is eps ((m^2 + n) S^2 + 2 b sum(u));
+            # allow a few thousand times that.
+            s = prob.lam * np.linalg.norm(prob.extra_scatter.entries) + float(u @ sq_norms)
+            slack = 1e-12 * ((prob.dim**2 + prob.n_intra) * s * s + prob.margin * u.sum())
+            assert 0.0 <= f - f_lower_bound(prob, u, u) <= slack
+        assert checked >= 10
+
+    def _compare(self, monkeypatch, problems):
+        screened = [solve_dual(p) for p in problems]
+        with monkeypatch.context() as patch:
+            patch.setattr(qml, "_f_lower_bound", lambda *args: -math.inf)
+            plain = [solve_dual(p) for p in problems]
+        for a, b in zip(screened, plain):
+            assert report_fields(a) == report_fields(b)
+            assert a.report.objective_evals == a.report.eig_calls
+            assert b.report.objective_evals == b.report.eig_calls
+            assert a.report.objective_evals <= b.report.objective_evals
+        return screened, plain
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    def test_same_iterates_on_reference_split(self, monkeypatch, lam):
+        screened, plain = self._compare(monkeypatch, reference_split_problems(lam))
+        if lam == 10.0:
+            # The exits other than convergence are covered too.
+            assert {t.report.termination for t in screened} == {
+                "max_iterations", "line_search_failed"
+            }
+        for a, b in zip(screened, plain):
+            assert a.report.objective_evals < b.report.objective_evals
+
+    def test_same_iterates_on_random_instances(self, monkeypatch):
+        self._compare(monkeypatch, random_problems(10))
 
 
 class TestPrimalRecovery:
