@@ -43,7 +43,6 @@ from .pipeline import (
     train_model_set,
 )
 from .qml import (
-    SolverConfig,
     dual_gradient,
     dual_objective,
     kkt_report,
@@ -75,6 +74,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be a non-negative integer")
+    return value
+
+
 def _lambda_grid(text: str) -> tuple[float, ...]:
     try:
         grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -83,15 +89,6 @@ def _lambda_grid(text: str) -> tuple[float, ...]:
     if not grid or any(not (np.isfinite(g) and g > 0) for g in grid):
         raise argparse.ArgumentTypeError("grid values must be positive numbers")
     return grid
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iterations", type=_positive_int, default=SolverConfig.max_iterations)
-    p.add_argument("--grad-tol", type=_positive_float, default=SolverConfig.grad_tol)
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iterations=args.max_iterations, grad_tol=args.grad_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=_positive_int, required=True)
     p.add_argument("--sep", type=float, required=True, help="distance of class means from origin")
     p.add_argument("--sigma", type=_positive_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_synth)
@@ -119,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-grid", type=_lambda_grid, default=None,
                    help="comma-separated candidates; picks the lowest-error one")
     p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("-o", "--out", required=True, help="model file to write")
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model, or run the split protocol")
@@ -135,15 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
     p.add_argument("--cv-grid", type=_lambda_grid, default=None)
     p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("diagnose", help="solver self-checks on random instances")
     p.add_argument("--random-instances", type=_positive_int, default=10)
     p.add_argument("--dim", type=_positive_int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--grid-oracle", action="store_true",
                    help="compare against the exhaustive 2-d grid (dim must be 2); "
                    "instances shrink so the grid bracket covers the optimum")
@@ -154,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-grad", action="store_true",
                    help="corrupt the analytic gradient before checking (negative control)")
     p.add_argument("--json", action="store_true")
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_diagnose)
 
     return parser
@@ -194,19 +188,16 @@ def cmd_train(args) -> int:
     if (args.lam is None) == (args.cv_grid is None):
         raise InvalidInputError("give exactly one of --lambda or --cv-grid")
     ds, _ = load_csv(args.data)
-    config = _solver_config(args)
 
     lam = args.lam
     if args.cv_grid is not None:
-        lam, table = cross_validate_lambda(
-            ds, args.cv_grid, folds=args.folds, config=config, seed=args.seed
-        )
+        lam, table = cross_validate_lambda(ds, args.cv_grid, folds=args.folds, seed=args.seed)
         print(json.dumps({
             "selected_lambda": lam,
             "cv": [{"lambda": e.lam, "mean_error": e.mean_error} for e in table],
         }))
 
-    model = train_model_set(ds, lam, config)
+    model = train_model_set(ds, lam)
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
@@ -229,18 +220,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _protocol_lambda(args, train_ds, config) -> float:
+def _protocol_lambda(args, train_ds) -> float:
     if args.lam is not None:
         return args.lam
     grid = args.cv_grid if args.cv_grid is not None else DEFAULT_LAMBDA_GRID
-    lam, _ = cross_validate_lambda(
-        train_ds, grid, folds=args.folds, config=config, seed=args.seed
-    )
+    lam, _ = cross_validate_lambda(train_ds, grid, folds=args.folds, seed=args.seed)
     return lam
 
 
 def cmd_eval(args) -> int:
-    config = _solver_config(args)
     if args.protocol:
         if args.model is not None:
             raise InvalidInputError("--protocol retrains; it cannot take --model")
@@ -252,9 +240,9 @@ def cmd_eval(args) -> int:
         lambdas = []
         for r in range(args.reps):
             train_ds, test_ds = split_random(ds, spec, r)
-            lam = _protocol_lambda(args, train_ds, config)
+            lam = _protocol_lambda(args, train_ds)
             lambdas.append(lam)
-            model = train_model_set(train_ds, lam, config)
+            model = train_model_set(train_ds, lam)
             for rule in ("max", "nn_cosine"):
                 errors[rule].append(evaluate(model, test_ds, rule).error_rate)
         summary = {
@@ -305,7 +293,6 @@ def cmd_diagnose(args) -> int:
     if args.grid_oracle and args.dim != 2:
         raise InvalidInputError("--grid-oracle needs --dim 2")
     lam, n_intra, n_extra, spread = (0.1, 5, 4, 0.25) if args.grid_oracle else (1.0, 12, 24, 0.5)
-    config = _solver_config(args)
 
     checks = []  # (instance, name, value, tolerance, passed)
 
@@ -333,7 +320,7 @@ def cmd_diagnose(args) -> int:
         rel = float(np.max(np.abs(g - g_fd))) / max(1.0, float(np.max(np.abs(g_fd))))
         record(i, "gradient_fd_rel_error", rel, FD_TOL)
 
-        trained = solve_dual(prob, config)
+        trained = solve_dual(prob)
         rep = kkt_report(prob, trained.dual, trained.matrix)
         record(i, "duality_gap", abs(rep.duality_gap),
                GAP_TOL * max(1.0, abs(rep.primal_objective)))

@@ -65,8 +65,11 @@ def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
     order of the original values, so labels that already are 1..C keep
     their values. The original -> new map is returned alongside the dataset.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     first = 1 if has_header else 0
     rows = [line for line in lines[first:] if line.strip()]
     if not rows:
@@ -240,10 +243,8 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def load_raster_dir(
-    root, size: tuple[int, int] = RASTER_SIZE
-) -> tuple[Dataset, int, dict[str, int]]:
-    """Ingest ``root/<class-name>/<images>`` into fixed-size [0,1] vectors.
+def load_raster_dir(root) -> tuple[Dataset, int, dict[str, int]]:
+    """Ingest ``root/<class-name>/<images>`` into RASTER_SIZE [0,1] vectors.
 
     Class names map to indices 1..C in sorted order. Unreadable files are
     skipped; the number skipped is returned so callers can warn. A class
@@ -256,7 +257,7 @@ def load_raster_dir(
     if not class_dirs:
         raise InvalidInputError(f"{root}: no class subdirectories")
 
-    out_h, out_w = size
+    out_h, out_w = RASTER_SIZE
     rows: list[np.ndarray] = []
     labels: list[int] = []
     skipped = 0

@@ -39,17 +39,13 @@ UNBOUNDED_FLOOR = -1e12
 class OracleResult:
     """Output of a reference solver.
 
-    resolution_or_final_penalty holds the grid step for the grid method and
-    the last penalty weight for the penalty method. stage_violations records
-    the worst constraint violation after each penalty stage (empty for grid).
+    stage_violations records the worst constraint violation after each
+    penalty stage (empty for grid).
     """
 
     matrix: SymmetricMatrix
     objective: float
-    method: str
-    resolution_or_final_penalty: float
     max_violation: float
-    candidates: int = 0
     stage_violations: tuple[float, ...] = ()
 
 
@@ -103,7 +99,6 @@ def solve_primal_grid(
     d = pos[None, :]
     best_obj = np.inf
     best_adc = None
-    n_candidates = 0
 
     for a in pos:
         # Feasibility of every constraint a*x1^2 + 2c*x1*x2 + d*x2^2 >= b.
@@ -120,7 +115,6 @@ def solve_primal_grid(
         ok &= min_eig >= -GRID_PSD_TOL
         if not ok.any():
             continue
-        n_candidates += int(np.count_nonzero(ok))
         obj = 0.5 * (a * a + 2.0 * c * c + d * d) + lam * (
             o[0, 0] * a + 2.0 * o[0, 1] * c + o[1, 1] * d
         )
@@ -142,10 +136,7 @@ def solve_primal_grid(
     return OracleResult(
         matrix=p,
         objective=best_obj,
-        method="grid",
-        resolution_or_final_penalty=step,
         max_violation=_max_violation(problem, p.entries),
-        candidates=n_candidates,
     )
 
 
@@ -160,12 +151,12 @@ def _penalty_descent(
     problem: ClassProblem,
     schedule,
     linear_objective: bool,
-) -> tuple[np.ndarray, float, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Shared penalty loop.
 
     With linear_objective=False the smooth part is (1/2)||P||^2 + lam*tr(PO);
-    with True it is tr(P O) alone. Returns the final matrix, the last penalty
-    weight, and the per-stage worst violations.
+    with True it is tr(P O) alone. Returns the final matrix and the per-stage
+    worst violations.
     """
     schedule = tuple(float(r) for r in schedule)
     if len(schedule) == 0:
@@ -208,7 +199,7 @@ def _penalty_descent(
             if moved <= INNER_TOL * (1.0 + float(np.linalg.norm(p))):
                 break
         stage_violations.append(_max_violation(problem, p))
-    return p, schedule[-1], stage_violations
+    return p, stage_violations
 
 
 def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
@@ -226,15 +217,11 @@ def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
 def _penalty_solve(
     problem: ClassProblem, schedule, linear_objective: bool
 ) -> OracleResult:
-    p, final_rho, stage_violations = _penalty_descent(
-        problem, schedule, linear_objective
-    )
+    p, stage_violations = _penalty_descent(problem, schedule, linear_objective)
     p = _polish_feasible(problem, p)
     return OracleResult(
         matrix=SymmetricMatrix((p + p.T) / 2.0),
         objective=_smooth_objective(problem, p, linear_objective),
-        method="penalty",
-        resolution_or_final_penalty=final_rho,
         max_violation=_max_violation(problem, p),
         stage_violations=tuple(stage_violations),
     )

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .qml import (
     ClassProblem,
-    SolverConfig,
     TrainedQuadraticMatrix,
     build_scatter,
     solve_dual,
@@ -196,20 +195,16 @@ def _nn_cosine_labels(f: np.ndarray, model: ModelSet) -> np.ndarray:
     return model.training_labels[np.argmax(cos, axis=1)]
 
 
-def train_model_set(
-    ds: Dataset,
-    lam: float,
-    config: SolverConfig = SolverConfig(),
-) -> ModelSet:
+def train_model_set(ds: Dataset, lam: float) -> ModelSet:
     """Train every class matrix and the training feature matrix.
 
     Classes are independent problems, solved one after another in class
-    order.
+    order, each at the default ``SolverConfig()``.
     """
     trained = []
     for c in range(1, ds.class_count + 1):
         try:
-            trained.append(solve_dual(build_class_problem(ds, c, lam), config))
+            trained.append(solve_dual(build_class_problem(ds, c, lam)))
         except InfeasibleProblemError as exc:
             raise InfeasibleProblemError(f"class {c}: {exc}") from exc
     features = _feature_matrix(trained, ds.samples)
@@ -309,7 +304,6 @@ def cross_validate_lambda(
     ds: Dataset,
     grid,
     folds: int = 10,
-    config: SolverConfig = SolverConfig(),
     seed: int = 0,
 ) -> tuple[float, tuple[CvEntry, ...]]:
     """Pick the regularization weight by stratified k-fold cross-validation.
@@ -341,7 +335,7 @@ def cross_validate_lambda(
             train_mask = np.ones(ds.n, dtype=bool)
             train_mask[val_idx] = False
             train_ds = Dataset(ds.samples[train_mask], ds.labels[train_mask])
-            model = train_model_set(train_ds, lam, config)
+            model = train_model_set(train_ds, lam)
             pred = _nn_cosine_labels(
                 _feature_matrix(model.matrices, ds.samples[val_idx]), model
             )

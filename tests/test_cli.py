@@ -12,6 +12,7 @@ import pytest
 import dqml
 from dqml import cli
 from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, save_csv, split_random
+from dqml.errors import NumericalFailureError
 from dqml.pipeline import load_model
 from dqml.qml import SolverConfig
 
@@ -126,6 +127,25 @@ class TestTrain:
                         "--lambda", "1", "-o", str(tmp_path / "m.dqml")])
         assert code == 2
 
+    def test_non_utf8_csv_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "utf16.csv"
+        data.write_bytes(b"\xff\xfe" + "1,0.5\n2,1.5\n".encode("utf-16-le"))
+        code = run_cli(["train", "--data", str(data), "--lambda", "1",
+                        "-o", str(tmp_path / "m.dqml")])
+        assert code == 2
+        assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise NumericalFailureError("eigendecomposition did not converge")
+
+        monkeypatch.setattr(cli, "train_model_set", fail)
+        data = write_training_csv(tmp_path / "train.csv")
+        code = run_cli(["train", "--data", str(data), "--lambda", "1",
+                        "-o", str(tmp_path / "m.dqml")])
+        assert code == 5
+        assert "error: eigendecomposition did not converge" in capsys.readouterr().err
+
     def test_lambda_and_grid_together_rejected(self, tmp_path):
         data = write_training_csv(tmp_path / "train.csv")
         code = run_cli(["train", "--data", str(data), "--lambda", "1",
@@ -202,6 +222,20 @@ class TestEval:
         for rule in ("max", "nn_cosine"):
             assert 0.0 <= payload[rule]["mean_error"] <= 0.5
             assert payload[rule]["std_error"] >= 0.0
+
+    def test_protocol_chooses_lambda_by_cv(self, tmp_path, capsys):
+        data = write_training_csv(tmp_path / "all.csv", per_class=14)
+        argv = ["eval", "--data", str(data), "--protocol", "--m-train", "10",
+                "--reps", "1", "--cv-grid", "0.1,1", "--folds", "2"]
+        assert run_cli(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["lambdas"]) == 1
+        assert all(lam in (0.1, 1.0) for lam in payload["lambdas"])
+        assert run_cli(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "protocol: 1 repetitions, 10 per class to train"
+        assert [ln.split()[0] for ln in lines[1:]] == ["max", "nn_cosine"]
+        assert all(ln.endswith("%") and "+/-" in ln for ln in lines[1:])
 
     def test_protocol_single_rep_has_zero_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=6)
@@ -324,6 +358,44 @@ class TestDiagnose:
         bad = [c for c in payload["checks"] if not c["pass"]]
         assert {c["check"] for c in bad} == {"gradient_fd_rel_error"}
         assert {c["instance"] for c in bad} == {0, 1}
+
+
+def synth_argv(out, dim="2"):
+    return ["synth", "--classes", "2", "--dim", dim, "--per-class", "3",
+            "--sep", "4", "--sigma", "1", "-o", str(out)]
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "diagnose"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        # Valid arguments otherwise, so an accepted seed would reach an RNG.
+        data = str(write_training_csv(tmp_path / "d.csv"))
+        out = str(tmp_path / "out")
+        argv = {
+            "synth": synth_argv(out),
+            "train": ["train", "--data", data, "--cv-grid", "0.1,1", "--folds", "2",
+                      "-o", out],
+            "eval": ["eval", "--data", data, "--protocol", "--m-train", "3",
+                     "--lambda", "1"],
+            "diagnose": ["diagnose", "--random-instances", "1"],
+        }[command]
+        assert run_cli(argv + ["--seed", "-1"]) == 2
+        assert "'-1' must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dim", "0", "'0' must be a positive integer"),
+        ("--cv-grid", "a,b", "bad grid 'a,b'"),
+        ("--cv-grid", "0,1", "grid values must be positive numbers"),
+        ("--cv-grid", ",", "grid values must be positive numbers"),
+    ])
+    def test_refused_values_are_usage_errors(self, flag, value, message, tmp_path, capsys):
+        if flag == "--dim":
+            argv = synth_argv(tmp_path / "d.csv", dim=value)
+        else:
+            argv = ["train", "--data", str(tmp_path / "d.csv"), flag, value,
+                    "-o", str(tmp_path / "m.dqml")]
+        assert run_cli(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestReadme:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dqml import datasets
 from dqml.datasets import (
     SplitSpec,
     SynthSpec,
@@ -124,6 +125,18 @@ class TestCsv:
                 with pytest.raises(InvalidInputError, match="no data rows"):
                     load_csv(p, has_header=header)
 
+    def test_one_column_is_refused(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1\n2\n")
+        with pytest.raises(InvalidInputError, match="row 1: need a label and at least one value"):
+            load_csv(p)
+
+    def test_non_utf8_file_is_refused(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xff\xfe" + "1,0.5\n2,1.5\n".encode("utf-16-le"))
+        with pytest.raises(InvalidInputError, match=r"d\.csv: not UTF-8 text"):
+            load_csv(p)
+
     def test_round_trip_and_stable_bytes(self, tmp_path):
         synthetic = generate_synthetic(
             SynthSpec(2, 3, 4, separation=2.0, sigma=0.5, seed=1)
@@ -221,6 +234,32 @@ class TestRaster:
         (tmp_path / "a" / "zz.pgm").write_bytes(b"P5\n0 4\n255\n")
         _, skipped, _ = load_raster_dir(tmp_path)
         assert skipped == 1
+
+    def test_header_comments_are_skipped(self, tmp_path):
+        img = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
+        plain, commented = tmp_path / "plain.pgm", tmp_path / "commented.pgm"
+        write_pgm(plain, img)
+        commented.write_bytes(
+            b"P5\n# written by a scanner\n4 3\n#  second comment\n255\n" + img.tobytes()
+        )
+        expected = datasets._read_pgm(plain)
+        assert np.array_equal(expected, img.astype(float))
+        assert np.array_equal(datasets._read_pgm(commented), expected)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P6\n2 2\n255\n" + bytes(12), "not a supported raster format"),
+        (b"P5\n2 x\n255\n" + bytes(4), "malformed raster header"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "only 8-bit rasters"),
+        (b"P5\n2 2\n255\n" + bytes(3), "pixel data ends early"),
+        (b"P2\n2 2\n255\n1 2 x 4\n", "non-integer ASCII pixel"),
+        (b"P2\n2 2\n255\n1 2 3\n", "pixel data ends early"),
+        (b"P2\n2 2\n10\n1 2 3 11\n", "pixel value exceeds declared maximum"),
+    ])
+    def test_read_pgm_refusals(self, blob, message, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(InvalidInputError, match=message):
+            datasets._read_pgm(path)
 
     def test_values_lie_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -55,8 +55,6 @@ class TestGridOracle:
         assert c == pytest.approx(0.0, abs=0.02)
         assert d == pytest.approx(0.0, abs=0.02)
         assert res.objective == pytest.approx(0.5, abs=0.02)
-        assert res.method == "grid"
-        assert res.resolution_or_final_penalty == 0.01
 
     def test_two_axes_optimum(self):
         res = solve_primal_grid(two_axes_problem(), step=0.01)
@@ -110,15 +108,12 @@ class TestGridOracle:
         res = solve_primal_grid(random_2d_problem(7), step=0.05)
         assert res.max_violation == 0.0
         assert np.min(np.linalg.eigvalsh(res.matrix.entries)) >= -1e-6
-        assert res.candidates > 0
 
 
 class TestPenaltyOracle:
     def test_single_constraint_objective(self):
         res = solve_primal_penalty(single_axis_problem())
         assert res.objective == pytest.approx(0.5, abs=1e-3)
-        assert res.method == "penalty"
-        assert res.resolution_or_final_penalty == 10000.0
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_agrees_with_dual_solver(self, seed):
