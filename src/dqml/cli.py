@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``synth`` writes a synthetic Gaussian dataset, ``train`` fits
-per-class matrices (with optional cross-validated regularization), ``eval``
-scores a model or runs the repeated-split protocol, and ``diagnose`` runs
-the solver's self-checks (finite-difference gradients, KKT residuals, and
-reference-solver comparisons).
+per-class matrices at one λ or at the one cross-validation picks from a list,
+``eval`` scores a saved model, ``protocol`` runs the repeated-split
+experiment, and ``diagnose`` runs the solver's self-checks (finite-difference
+gradients, KKT residuals, and reference-solver comparisons). A flag that a
+subcommand would not act on is a usage error.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible problem,
 4 diagnostic failure, 5 numerical failure.
@@ -112,38 +113,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one PSD matrix per class")
     p.add_argument("--data", required=True, help="training CSV (label,v1,...,vm)")
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
-    p.add_argument("--cv-grid", type=_lambda_grid, default=None,
-                   help="comma-separated candidates; picks the lowest-error one")
-    p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--lambda", dest="lam", type=_lambda_grid, required=True,
+                   help="one value, or a comma list that cross-validation picks from")
+    p.add_argument("--folds", type=_positive_int, help="CV folds for a --lambda list (default 10)")
     p.add_argument("-o", "--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a model, or run the split protocol")
+    p = sub.add_parser("eval", help="score a saved model")
     p.add_argument("--data", required=True, help="CSV to evaluate on")
-    p.add_argument("--model", default=None, help="model file (single-shot mode)")
-    p.add_argument("--protocol", action="store_true",
-                   help="repeatedly split, retrain, and report mean/std error")
-    p.add_argument("--m-train", type=_positive_int, default=None,
-                   help="training samples per class in protocol mode")
-    p.add_argument("--reps", type=_positive_int, default=30)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
-    p.add_argument("--cv-grid", type=_lambda_grid, default=None)
-    p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--model", required=True, help="model file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("protocol",
+                       help="repeatedly split, retrain, and report mean/std error")
+    p.add_argument("--data", required=True, help="CSV to split")
+    p.add_argument("--m-train", type=_positive_int, required=True,
+                   help="training samples per class")
+    p.add_argument("--reps", type=_positive_int, default=30)
+    p.add_argument("--lambda", dest="lam", type=_lambda_grid, default=DEFAULT_LAMBDA_GRID,
+                   help="as for train, on each split; default %(default)s")
+    p.add_argument("--folds", type=_positive_int, help="CV folds for a --lambda list (default 10)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("diagnose", help="solver self-checks on random instances")
     p.add_argument("--random-instances", type=_positive_int, default=10)
     p.add_argument("--dim", type=_positive_int, default=6)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--grid-oracle", action="store_true",
-                   help="compare against the exhaustive 2-d grid (dim must be 2); "
-                   "instances shrink so the grid bracket covers the optimum")
-    p.add_argument("--step", type=_positive_float, default=0.01,
-                   help="grid resolution for --grid-oracle")
+    p.add_argument("--grid-oracle", dest="grid_step", nargs="?", type=_positive_float,
+                   const=0.01, metavar="STEP",
+                   help="compare against the exhaustive 2-d grid at resolution STEP "
+                   "(default 0.01; dim must be 2); instances shrink so the grid "
+                   "bracket covers the optimum")
     p.add_argument("--penalty-oracle", action="store_true",
                    help="compare against the penalty-method reference solver")
     p.add_argument("--perturb-grad", action="store_true",
@@ -184,14 +187,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _cv_folds(args) -> int:
+    """--folds (10 if not given) for a --lambda list; refused beside one value."""
+    if args.folds is not None and len(args.lam) == 1:
+        raise InvalidInputError("--folds needs several --lambda values to cross-validate")
+    return args.folds or 10
+
+
 def cmd_train(args) -> int:
-    if (args.lam is None) == (args.cv_grid is None):
-        raise InvalidInputError("give exactly one of --lambda or --cv-grid")
+    folds = _cv_folds(args)
     ds, _ = load_csv(args.data)
 
-    lam = args.lam
-    if args.cv_grid is not None:
-        lam, table = cross_validate_lambda(ds, args.cv_grid, folds=args.folds, seed=args.seed)
+    lam = args.lam[0]
+    if len(args.lam) > 1:
+        lam, table = cross_validate_lambda(ds, args.lam, folds=folds)
         print(json.dumps({
             "selected_lambda": lam,
             "cv": [{"lambda": e.lam, "mean_error": e.mean_error} for e in table],
@@ -220,49 +229,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _protocol_lambda(args, train_ds) -> float:
-    if args.lam is not None:
-        return args.lam
-    grid = args.cv_grid if args.cv_grid is not None else DEFAULT_LAMBDA_GRID
-    lam, _ = cross_validate_lambda(train_ds, grid, folds=args.folds, seed=args.seed)
-    return lam
-
-
 def cmd_eval(args) -> int:
-    if args.protocol:
-        if args.model is not None:
-            raise InvalidInputError("--protocol retrains; it cannot take --model")
-        if args.m_train is None:
-            raise InvalidInputError("--protocol needs --m-train")
-        ds, _ = load_csv(args.data)
-        spec = SplitSpec(per_class_train=args.m_train, seed=args.seed)
-        errors = {"max": [], "nn_cosine": []}
-        lambdas = []
-        for r in range(args.reps):
-            train_ds, test_ds = split_random(ds, spec, r)
-            lam = _protocol_lambda(args, train_ds)
-            lambdas.append(lam)
-            model = train_model_set(train_ds, lam)
-            for rule in ("max", "nn_cosine"):
-                errors[rule].append(evaluate(model, test_ds, rule).error_rate)
-        summary = {
-            rule: {"mean_error": float(np.mean(v)), "std_error": float(np.std(v))}
-            for rule, v in errors.items()
-        }
-        if args.json:
-            print(json.dumps({
-                "mode": "protocol", "reps": args.reps, "lambdas": lambdas, **summary
-            }))
-        else:
-            print(f"protocol: {args.reps} repetitions, {args.m_train} per class to train")
-            for rule in ("max", "nn_cosine"):
-                s = summary[rule]
-                print(f"  {rule:<10} {100 * s['mean_error']:6.2f}% "
-                      f"+/- {100 * s['std_error']:.2f}%")
-        return 0
-
-    if args.model is None:
-        raise InvalidInputError("give --model, or --protocol for the split protocol")
     model = load_model(args.model)
     test, _ = load_csv(args.data)
     results = {rule: evaluate(model, test, rule) for rule in ("max", "nn_cosine")}
@@ -279,6 +246,38 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_protocol(args) -> int:
+    folds = _cv_folds(args)
+    ds, _ = load_csv(args.data)
+    spec = SplitSpec(per_class_train=args.m_train, seed=args.seed)
+    errors = {"max": [], "nn_cosine": []}
+    lambdas = []
+    for r in range(args.reps):
+        train_ds, test_ds = split_random(ds, spec, r)
+        lam = args.lam[0]
+        if len(args.lam) > 1:
+            lam, _ = cross_validate_lambda(train_ds, args.lam, folds=folds, seed=args.seed)
+        lambdas.append(lam)
+        model = train_model_set(train_ds, lam)
+        for rule in ("max", "nn_cosine"):
+            errors[rule].append(evaluate(model, test_ds, rule).error_rate)
+    summary = {
+        rule: {"mean_error": float(np.mean(v)), "std_error": float(np.std(v))}
+        for rule, v in errors.items()
+    }
+    if args.json:
+        print(json.dumps({
+            "mode": "protocol", "reps": args.reps, "lambdas": lambdas, **summary
+        }))
+    else:
+        print(f"protocol: {args.reps} repetitions, {args.m_train} per class to train")
+        for rule in ("max", "nn_cosine"):
+            s = summary[rule]
+            print(f"  {rule:<10} {100 * s['mean_error']:6.2f}% "
+                  f"+/- {100 * s['std_error']:.2f}%")
+    return 0
+
+
 def _fd_dual_gradient(prob, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
     g = np.zeros_like(u)
     for i in range(u.size):
@@ -290,9 +289,9 @@ def _fd_dual_gradient(prob, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def cmd_diagnose(args) -> int:
-    if args.grid_oracle and args.dim != 2:
+    if args.grid_step and args.dim != 2:
         raise InvalidInputError("--grid-oracle needs --dim 2")
-    lam, n_intra, n_extra, spread = (0.1, 5, 4, 0.25) if args.grid_oracle else (1.0, 12, 24, 0.5)
+    lam, n_intra, n_extra, spread = (0.1, 5, 4, 0.25) if args.grid_step else (1.0, 12, 24, 0.5)
 
     checks = []  # (instance, name, value, tolerance, passed)
 
@@ -329,10 +328,10 @@ def cmd_diagnose(args) -> int:
         record(i, "negative_eigenvalue", max(0.0, -rep.min_eigenvalue), PSD_CERT_TOL)
 
         primal = trained.report.primal_objective
-        if args.grid_oracle:
-            grid = solve_primal_grid(prob, step=args.step)
+        if args.grid_step:
+            grid = solve_primal_grid(prob, step=args.grid_step)
             record(i, "grid_objective_difference",
-                   abs(grid.objective - primal), 2.0 * args.step)
+                   abs(grid.objective - primal), 2.0 * args.grid_step)
         if args.penalty_oracle:
             pen = solve_primal_penalty(prob)
             record(i, "penalty_objective_difference", abs(pen.objective - primal),
@@ -368,10 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ModelIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInputError, ModelIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleProblemError, UnboundedProblemError) as exc:

@@ -60,13 +60,13 @@ class SynthSpec:
 def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
     """Read rows of ``label,v1,...,vm``.
 
-    Whitespace around a cell is allowed and blank lines are skipped. Labels
-    are positive integers; they are relabeled to contiguous 1..C in sorted
-    order of the original values, so labels that already are 1..C keep
-    their values. The original -> new map is returned alongside the dataset.
+    A leading byte-order mark, blank lines and whitespace around a cell are
+    skipped. Labels are positive integers, relabeled to contiguous 1..C in
+    sorted order of the original values, so labels that already are 1..C
+    keep their values. The original -> new map is returned alongside the dataset.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None

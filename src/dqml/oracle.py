@@ -9,8 +9,8 @@ are provided: an exhaustive grid search over the three free entries of a
 2 x 2 symmetric matrix, and a quadratic-penalty method with projected
 gradient descent for small dimensions. A third solver minimizes the
 unregularized criterion tr(P O) under the same constraints, which is the
-natural objective when no Frobenius regularizer is wanted; it can be
-unbounded below on unlucky data, which is detected rather than prevented.
+natural objective when no Frobenius regularizer is wanted; it is unbounded
+below exactly when the scatter has a negative part, which is refused up front.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .errors import (
     UnboundedProblemError,
 )
 from .qml import ClassProblem, _max_violation, _primal_value, check_feasible_samples
-from .symmat import SymmetricMatrix, _spectral_part, quad_forms
+from .symmat import SymmetricMatrix, _spectral_part, negative_part, quad_forms
 
 DEFAULT_SCHEDULE = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 MAX_INNER_STEPS = 2000
 INNER_TOL = 1e-10  # relative step size that ends a penalty stage
 GRID_PSD_TOL = 1e-9
-UNBOUNDED_FLOOR = -1e12
 
 
 @dataclass(frozen=True)
@@ -148,22 +147,19 @@ def _smooth_objective(problem: ClassProblem, p: np.ndarray, linear_objective: bo
 
 
 def _penalty_descent(
-    problem: ClassProblem,
-    schedule,
-    linear_objective: bool,
+    problem: ClassProblem, linear_objective: bool
 ) -> tuple[np.ndarray, list[float]]:
-    """Shared penalty loop.
+    """Shared penalty loop over the weights in DEFAULT_SCHEDULE.
 
     With linear_objective=False the smooth part is (1/2)||P||^2 + lam*tr(PO);
     with True it is tr(P O) alone. Returns the final matrix and the per-stage
     worst violations.
     """
-    schedule = tuple(float(r) for r in schedule)
-    if len(schedule) == 0:
-        raise InvalidInputError("penalty schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] <= 0:
-        raise InvalidInputError("penalty schedule must be positive and increasing")
     check_feasible_samples(problem)
+    # A feasible P exists, and P + t*v*v^T stays feasible for any eigenvector
+    # v of O, so tr(P O) is unbounded below iff O has a negative eigenvalue.
+    if linear_objective and negative_part(problem.extra_scatter).entries.any():
+        raise UnboundedProblemError("O has a negative eigenvalue: tr(P O) is unbounded below")
 
     x = problem.intra
     b = problem.margin
@@ -175,7 +171,7 @@ def _penalty_descent(
 
     p = np.zeros((problem.dim, problem.dim))
     stage_violations: list[float] = []
-    for rho in schedule:
+    for rho in DEFAULT_SCHEDULE:
         curvature = 2.0 * rho * ghat_lmax
         lipschitz = curvature if linear_objective else 1.0 + curvature
         step = 1.0 / max(lipschitz, 1e-12)
@@ -189,11 +185,6 @@ def _penalty_descent(
             smooth = _smooth_objective(problem, p_next, linear_objective)
             if not np.isfinite(smooth):
                 raise NumericalFailureError("penalty oracle objective became non-finite")
-            if linear_objective and smooth < UNBOUNDED_FLOOR:
-                raise UnboundedProblemError(
-                    "unregularized objective fell below the divergence floor; "
-                    "the instance is unbounded"
-                )
             moved = float(np.linalg.norm(p_next - p))
             p = p_next
             if moved <= INNER_TOL * (1.0 + float(np.linalg.norm(p))):
@@ -214,10 +205,8 @@ def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
     return p * (problem.margin / worst)
 
 
-def _penalty_solve(
-    problem: ClassProblem, schedule, linear_objective: bool
-) -> OracleResult:
-    p, stage_violations = _penalty_descent(problem, schedule, linear_objective)
+def _penalty_solve(problem: ClassProblem, linear_objective: bool) -> OracleResult:
+    p, stage_violations = _penalty_descent(problem, linear_objective)
     p = _polish_feasible(problem, p)
     return OracleResult(
         matrix=SymmetricMatrix((p + p.T) / 2.0),
@@ -227,28 +216,22 @@ def _penalty_solve(
     )
 
 
-def solve_primal_penalty(
-    problem: ClassProblem,
-    schedule=DEFAULT_SCHEDULE,
-) -> OracleResult:
+def solve_primal_penalty(problem: ClassProblem) -> OracleResult:
     """Quadratic-penalty solve of the regularized primal.
 
     Each stage minimizes (1/2)||P||^2 + lam*tr(PO) + rho * sum_i
     max(0, b - x_i^T P x_i)^2 by gradient descent with a PSD projection
-    after every step; rho then increases along the schedule. A final
+    after every step; rho then increases along DEFAULT_SCHEDULE. A final
     rescale makes the worst constraint hold exactly.
     """
-    return _penalty_solve(problem, schedule, linear_objective=False)
+    return _penalty_solve(problem, linear_objective=False)
 
 
-def solve_unregularized(
-    problem: ClassProblem,
-    schedule=DEFAULT_SCHEDULE,
-) -> OracleResult:
+def solve_unregularized(problem: ClassProblem) -> OracleResult:
     """Penalty solve of the unregularized criterion tr(P O) under the same
     constraints.
 
     Without the Frobenius term the objective is linear, so boundedness
-    depends on the data; a runaway objective raises UnboundedProblemError.
+    depends on the data; an O with a negative part raises UnboundedProblemError.
     """
-    return _penalty_solve(problem, schedule, linear_objective=True)
+    return _penalty_solve(problem, linear_objective=True)

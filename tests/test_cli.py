@@ -114,7 +114,7 @@ class TestTrain:
 
     def test_cv_grid_selects_lambda(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "train.csv", per_class=12)
-        code = run_cli(["train", "--data", str(data), "--cv-grid", "0.3,3",
+        code = run_cli(["train", "--data", str(data), "--lambda", "0.3,3",
                         "--folds", "3", "-o", str(tmp_path / "m.dqml")])
         assert code == 0
         lines = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
@@ -135,6 +135,16 @@ class TestTrain:
         assert code == 2
         assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_byte_order_mark_csv_trains_the_same_model(self, tmp_path):
+        plain = write_training_csv(tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        models = [tmp_path / "plain.dqml", tmp_path / "marked.dqml"]
+        for data, model_path in zip((plain, marked), models):
+            assert run_cli(["train", "--data", str(data), "--lambda", "1",
+                            "-o", str(model_path)]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+
     def test_numerical_failure_exits_5(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
             raise NumericalFailureError("eigendecomposition did not converge")
@@ -146,11 +156,14 @@ class TestTrain:
         assert code == 5
         assert "error: eigendecomposition did not converge" in capsys.readouterr().err
 
-    def test_lambda_and_grid_together_rejected(self, tmp_path):
+    def test_folds_with_single_lambda_rejected(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "train.csv")
+        model_path = tmp_path / "m.dqml"
         code = run_cli(["train", "--data", str(data), "--lambda", "1",
-                        "--cv-grid", "0.1,1", "-o", str(tmp_path / "m.dqml")])
+                        "--folds", "3", "-o", str(model_path)])
         assert code == 2
+        assert "--folds needs several --lambda values" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_neither_lambda_nor_grid_rejected(self, tmp_path):
         data = write_training_csv(tmp_path / "train.csv")
@@ -212,7 +225,7 @@ class TestEval:
 
     def test_protocol_reports_mean_and_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=10)
-        code = run_cli(["eval", "--data", str(data), "--protocol",
+        code = run_cli(["protocol", "--data", str(data),
                         "--m-train", "5", "--reps", "3", "--lambda", "1",
                         "--json"])
         assert code == 0
@@ -225,8 +238,8 @@ class TestEval:
 
     def test_protocol_chooses_lambda_by_cv(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=14)
-        argv = ["eval", "--data", str(data), "--protocol", "--m-train", "10",
-                "--reps", "1", "--cv-grid", "0.1,1", "--folds", "2"]
+        argv = ["protocol", "--data", str(data), "--m-train", "10",
+                "--reps", "1", "--lambda", "0.1,1", "--folds", "2"]
         assert run_cli(argv + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["lambdas"]) == 1
@@ -239,7 +252,7 @@ class TestEval:
 
     def test_protocol_single_rep_has_zero_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=6)
-        code = run_cli(["eval", "--data", str(data), "--protocol",
+        code = run_cli(["protocol", "--data", str(data),
                         "--m-train", "3", "--reps", "1", "--lambda", "1",
                         "--json"])
         assert code == 0
@@ -247,20 +260,23 @@ class TestEval:
         assert payload["max"]["std_error"] == 0.0
         assert payload["nn_cosine"]["std_error"] == 0.0
 
-    def test_protocol_rejects_model(self, trained):
+    def test_protocol_rejects_model(self, trained, capsys):
         data, model_path = trained
-        code = run_cli(["eval", "--data", str(data), "--protocol",
+        code = run_cli(["protocol", "--data", str(data),
                         "--m-train", "3", "--model", str(model_path)])
         assert code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
-    def test_protocol_needs_m_train(self, tmp_path):
+    def test_protocol_needs_m_train(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv")
-        code = run_cli(["eval", "--data", str(data), "--protocol", "--lambda", "1"])
+        code = run_cli(["protocol", "--data", str(data), "--lambda", "1"])
         assert code == 2
+        assert "required: --m-train" in capsys.readouterr().err
 
-    def test_needs_model_or_protocol(self, tmp_path):
+    def test_needs_model_or_protocol(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv")
         assert run_cli(["eval", "--data", str(data)]) == 2
+        assert "required: --model" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_usage_error(self, trained, tmp_path):
         _, model_path = trained
@@ -321,7 +337,7 @@ class TestDiagnose:
 
     def test_grid_oracle_agreement(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "2",
-                        "--seed", "7", "--grid-oracle", "--step", "0.05", "--json"])
+                        "--seed", "7", "--grid-oracle", "0.05", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         diffs = [c for c in payload["checks"]
@@ -332,6 +348,11 @@ class TestDiagnose:
     def test_grid_oracle_needs_dim_2(self):
         code = run_cli(["diagnose", "--dim", "3", "--grid-oracle"])
         assert code == 2
+
+    def test_grid_oracle_step_defaults_to_0_01(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["diagnose", "--grid-oracle"]).grid_step == 0.01
+        assert parser.parse_args(["diagnose"]).grid_step is None
 
     def test_penalty_oracle_agreement(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "4",
@@ -366,17 +387,13 @@ def synth_argv(out, dim="2"):
 
 
 class TestArgumentTypes:
-    @pytest.mark.parametrize("command", ["synth", "train", "eval", "diagnose"])
+    @pytest.mark.parametrize("command", ["synth", "protocol", "diagnose"])
     def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
         # Valid arguments otherwise, so an accepted seed would reach an RNG.
         data = str(write_training_csv(tmp_path / "d.csv"))
-        out = str(tmp_path / "out")
         argv = {
-            "synth": synth_argv(out),
-            "train": ["train", "--data", data, "--cv-grid", "0.1,1", "--folds", "2",
-                      "-o", out],
-            "eval": ["eval", "--data", data, "--protocol", "--m-train", "3",
-                     "--lambda", "1"],
+            "synth": synth_argv(tmp_path / "out"),
+            "protocol": ["protocol", "--data", data, "--m-train", "3", "--lambda", "1"],
             "diagnose": ["diagnose", "--random-instances", "1"],
         }[command]
         assert run_cli(argv + ["--seed", "-1"]) == 2
@@ -384,9 +401,9 @@ class TestArgumentTypes:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--dim", "0", "'0' must be a positive integer"),
-        ("--cv-grid", "a,b", "bad grid 'a,b'"),
-        ("--cv-grid", "0,1", "grid values must be positive numbers"),
-        ("--cv-grid", ",", "grid values must be positive numbers"),
+        ("--lambda", "a,b", "bad grid 'a,b'"),
+        ("--lambda", "0,1", "grid values must be positive numbers"),
+        ("--lambda", ",", "grid values must be positive numbers"),
     ])
     def test_refused_values_are_usage_errors(self, flag, value, message, tmp_path, capsys):
         if flag == "--dim":
@@ -396,6 +413,44 @@ class TestArgumentTypes:
                     "-o", str(tmp_path / "m.dqml")]
         assert run_cli(argv) == 2
         assert message in capsys.readouterr().err
+
+
+    # Each pair was accepted and silently ignored when train, eval and the
+    # split protocol shared their flags; now each is a usage error.
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--model", "M", "--data", "D", "--m-train", "3"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--reps", "3"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--lambda", "5"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--cv-grid", "1,2"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--folds", "3"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--seed", "5"], "unrecognized"),
+        (["protocol", "--data", "D", "--m-train", "3", "--lambda", "1",
+          "--cv-grid", "0.1,0.3"], "unrecognized"),
+        (["protocol", "--data", "D", "--m-train", "3", "--lambda", "1",
+          "--folds", "3"], "--folds needs several --lambda values"),
+        (["train", "--data", "D", "--lambda", "1", "--folds", "3", "-o", "O"],
+         "--folds needs several --lambda values"),
+        (["train", "--data", "D", "--lambda", "1", "--seed", "5", "-o", "O"],
+         "unrecognized"),
+        (["diagnose", "--random-instances", "1", "--step", "7"], "unrecognized"),
+    ], ids=["eval-m-train", "eval-reps", "eval-lambda", "eval-cv-grid", "eval-folds",
+            "eval-seed", "protocol-cv-grid", "protocol-folds", "train-folds",
+            "train-seed", "diagnose-step"])
+    def test_ignored_flags_are_usage_errors(self, argv, message, tmp_path, capsys):
+        # Valid files otherwise, so only the flag can make the command fail.
+        data = write_training_csv(tmp_path / "d.csv")
+        model_path = tmp_path / "m.dqml"
+        assert run_cli(["train", "--data", str(data), "--lambda", "1",
+                        "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        paths = {"D": str(data), "M": str(model_path), "O": str(tmp_path / "o.dqml")}
+        assert run_cli([paths.get(a, a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "protocol", "diagnose"])
+    def test_help_renders(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: dqml {command}")
 
 
 class TestReadme:

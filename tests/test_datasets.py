@@ -137,6 +137,15 @@ class TestCsv:
         with pytest.raises(InvalidInputError, match=r"d\.csv: not UTF-8 text"):
             load_csv(p)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("2,0.5\n1,1.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (ds, relabel), (ds_plain, relabel_plain) = load_csv(marked), load_csv(plain)
+        assert np.array_equal(ds.samples, ds_plain.samples)
+        assert np.array_equal(ds.labels, ds_plain.labels)
+        assert relabel == relabel_plain == {1: 1, 2: 2}
+
     def test_round_trip_and_stable_bytes(self, tmp_path):
         synthetic = generate_synthetic(
             SynthSpec(2, 3, 4, separation=2.0, sigma=0.5, seed=1)
