@@ -278,7 +278,8 @@ def cmd_protocol(args) -> int:
     return 0
 
 
-def _fd_dual_gradient(prob, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_dual_gradient(prob, u: np.ndarray) -> np.ndarray:
+    h = 1e-6
     g = np.zeros_like(u)
     for i in range(u.size):
         up, um = u.copy(), u.copy()

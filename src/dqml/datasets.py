@@ -57,8 +57,8 @@ class SynthSpec:
             raise InvalidInputError("sigma must be positive and finite")
 
 
-def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
-    """Read rows of ``label,v1,...,vm``.
+def load_csv(path) -> tuple[Dataset, dict[int, int]]:
+    """Read rows of ``label,v1,...,vm``; the first line is data, not a header.
 
     A leading byte-order mark, blank lines and whitespace around a cell are
     skipped. Labels are positive integers, relabeled to contiguous 1..C in
@@ -70,13 +70,12 @@ def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
-    first = 1 if has_header else 0
-    rows = [line for line in lines[first:] if line.strip()]
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     width = rows[0].count(",") + 1
     if width < 2:
-        _raise_first_bad_row(path, lines, first, "need a label and a value")
+        _raise_first_bad_row(path, lines, "need a label and a value")
     try:
         # numpy releases that still read an i8 cell such as 1.5 through
         # float warn with a DeprecationWarning; as an error it refuses 1.5.
@@ -90,9 +89,9 @@ def load_csv(path, has_header: bool = False) -> tuple[Dataset, dict[int, int]]:
                 ndmin=1,
             )
     except (ValueError, DeprecationWarning) as exc:
-        _raise_first_bad_row(path, lines, first, str(exc))
+        _raise_first_bad_row(path, lines, str(exc))
     if table["label"].min() < 1:
-        _raise_first_bad_row(path, lines, first, "label must be positive")
+        _raise_first_bad_row(path, lines, "label must be positive")
 
     originals, labels = np.unique(table["label"], return_inverse=True)
     relabel = {lab: new for new, lab in enumerate(originals.tolist(), start=1)}
@@ -112,14 +111,14 @@ def _numpy_reads(cell: str, parse) -> bool:
     return "_" not in cell and cell.strip().isascii()
 
 
-def _raise_first_bad_row(path, lines: list[str], first: int, reason: str) -> NoReturn:
+def _raise_first_bad_row(path, lines: list[str], reason: str) -> NoReturn:
     """Raise the InvalidInputError that names the first malformed data line.
 
     Only load_csv's error path calls this. ``reason`` is the error raised
     when no line breaks a rule checked here.
     """
     width = None
-    for lineno, line in enumerate(lines[first:], start=first + 1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

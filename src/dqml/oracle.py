@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfeasibleProblemError,
-    InvalidInputError,
-    NumericalFailureError,
-    UnboundedProblemError,
-)
-from .qml import ClassProblem, _max_violation, _primal_value, check_feasible_samples
+from .errors import InvalidInputError, NumericalFailureError, UnboundedProblemError
+from .qml import ClassProblem, _max_violation, check_feasible_samples
 from .symmat import SymmetricMatrix, _spectral_part, negative_part, quad_forms
 
 DEFAULT_SCHEDULE = (1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -48,41 +43,31 @@ class OracleResult:
     stage_violations: tuple[float, ...] = ()
 
 
-def default_half_width(problem: ClassProblem) -> float:
-    """Grid bracket 3*b*max_i(1/||x_i||^2).
-
-    The single-constraint optimum has norm b/||x||^2, so tripling the largest
-    such scale brackets where practical optima live.
-    """
-    norms = np.einsum("ij,ij->i", problem.intra, problem.intra)
-    return 3.0 * problem.margin * float(np.max(1.0 / norms))
-
-
-def solve_primal_grid(
-    problem: ClassProblem,
-    half_width: float | None = None,
-    step: float = 0.01,
-) -> OracleResult:
+def solve_primal_grid(problem: ClassProblem, step: float = 0.01) -> OracleResult:
     """Exhaustive search over 2 x 2 matrices [[a, c], [c, d]] on a grid.
 
-    a and d range over [0, half_width], c over [-half_width, half_width],
-    all in multiples of ``step``. Candidates must be PSD (smallest eigenvalue
+    a and d range over [0, h], c over [-h, h], all in multiples of ``step``,
+    with the bracket h = 3*b*max_i(1/||x_i||^2): the single-constraint
+    optimum has norm b/||x||^2, so tripling the largest such scale brackets
+    where practical optima live. Candidates must be PSD (smallest eigenvalue
     >= -1e-9 by the 2 x 2 closed form) and satisfy every constraint. Returns
     the first grid point attaining the minimal objective in (a, c, d) scan
     order, so results are deterministic.
+
+    A step above h is refused, so the largest grid value a is at least h/2,
+    and diag(a, a) is a PSD grid point with x_i^T P x_i >= 1.5*b for every
+    sample: the grid always holds a feasible point.
     """
     if problem.dim != 2:
         raise InvalidInputError(f"grid oracle requires dimension 2, got {problem.dim}")
-    check_feasible_samples(problem)
-    if half_width is None:
-        half_width = default_half_width(problem)
+    bracket = 3.0 * problem.margin * float(np.max(1.0 / check_feasible_samples(problem)))
     if not (np.isfinite(step) and step > 0):
         raise InvalidInputError("step must be positive and finite")
-    if half_width < step:
-        raise InvalidInputError("half_width must be at least one step")
+    if bracket < step:
+        raise InvalidInputError(f"step must be at most the grid bracket {bracket:g}")
 
     # Multiples of step so that halving the step yields a supergrid.
-    n_steps = int(np.floor(half_width / step + 1e-12))
+    n_steps = int(np.floor(bracket / step + 1e-12))
     pos = np.arange(n_steps + 1) * step
     cvals = np.concatenate([-pos[:0:-1], pos])
 
@@ -125,11 +110,6 @@ def solve_primal_grid(
             ci, di = np.unravel_index(flat, obj.shape)
             best_adc = (a, float(cvals[ci]), float(pos[di]))
 
-    if best_adc is None:
-        raise InfeasibleProblemError(
-            "no PSD grid point satisfies all constraints; the instance is "
-            "infeasible or the grid is too coarse"
-        )
     a, cval, dval = best_adc
     p = SymmetricMatrix(np.array([[a, cval], [cval, dval]]))
     return OracleResult(
@@ -139,32 +119,23 @@ def solve_primal_grid(
     )
 
 
-def _smooth_objective(problem: ClassProblem, p: np.ndarray, linear_objective: bool) -> float:
-    """tr(P O) if linear_objective, else (1/2)||P||^2 + lam*tr(P O)."""
-    if linear_objective:
-        return float(np.sum(p * problem.extra_scatter.entries))
-    return _primal_value(problem, p)
+def _penalty_solve(problem: ClassProblem, quad: float, lin: float) -> OracleResult:
+    """Quadratic-penalty solve with the smooth part quad*(1/2)||P||^2 +
+    lin*tr(P O).
 
-
-def _penalty_descent(
-    problem: ClassProblem, linear_objective: bool
-) -> tuple[np.ndarray, list[float]]:
-    """Shared penalty loop over the weights in DEFAULT_SCHEDULE.
-
-    With linear_objective=False the smooth part is (1/2)||P||^2 + lam*tr(PO);
-    with True it is tr(P O) alone. Returns the final matrix and the per-stage
-    worst violations.
+    Each stage minimizes the smooth part plus rho * sum_i
+    max(0, b - x_i^T P x_i)^2 by gradient descent with a PSD projection
+    after every step; rho runs over DEFAULT_SCHEDULE. A final rescale makes
+    the worst constraint hold exactly.
     """
     check_feasible_samples(problem)
-    # A feasible P exists, and P + t*v*v^T stays feasible for any eigenvector
-    # v of O, so tr(P O) is unbounded below iff O has a negative eigenvalue.
-    if linear_objective and negative_part(problem.extra_scatter).entries.any():
-        raise UnboundedProblemError("O has a negative eigenvalue: tr(P O) is unbounded below")
-
     x = problem.intra
     b = problem.margin
     o = problem.extra_scatter.entries
-    smooth_grad_const = o if linear_objective else problem.lam * o
+    smooth_grad_const = lin * o
+
+    def smooth(p: np.ndarray) -> float:
+        return 0.5 * quad * float(np.sum(p * p)) + lin * float(np.sum(p * o))
 
     gram = x @ x.T
     ghat_lmax = float(np.linalg.eigvalsh(gram * gram)[-1])
@@ -172,59 +143,41 @@ def _penalty_descent(
     p = np.zeros((problem.dim, problem.dim))
     stage_violations: list[float] = []
     for rho in DEFAULT_SCHEDULE:
-        curvature = 2.0 * rho * ghat_lmax
-        lipschitz = curvature if linear_objective else 1.0 + curvature
-        step = 1.0 / max(lipschitz, 1e-12)
+        step = 1.0 / max(quad + 2.0 * rho * ghat_lmax, 1e-12)
         for _ in range(MAX_INNER_STEPS):
             viol = np.maximum(b - quad_forms(p, x), 0.0)
-            grad = smooth_grad_const - 2.0 * rho * (x.T * viol) @ x
-            if not linear_objective:
-                grad = grad + p
+            grad = smooth_grad_const - 2.0 * rho * (x.T * viol) @ x + quad * p
             p_next = p - step * grad
             p_next = _spectral_part((p_next + p_next.T) / 2.0, negative=False)
-            smooth = _smooth_objective(problem, p_next, linear_objective)
-            if not np.isfinite(smooth):
+            if not np.isfinite(smooth(p_next)):
                 raise NumericalFailureError("penalty oracle objective became non-finite")
             moved = float(np.linalg.norm(p_next - p))
             p = p_next
             if moved <= INNER_TOL * (1.0 + float(np.linalg.norm(p))):
                 break
         stage_violations.append(_max_violation(problem, p))
-    return p, stage_violations
 
-
-def _polish_feasible(problem: ClassProblem, p: np.ndarray) -> np.ndarray:
-    """Scale up the matrix so the worst constraint holds exactly."""
-    worst = float(np.min(quad_forms(p, problem.intra)))
-    if worst >= problem.margin:
-        return p
+    # Scale up the matrix so the worst constraint holds exactly.
+    worst = float(np.min(quad_forms(p, x)))
     if worst <= 0.0:
         raise NumericalFailureError(
             "penalty oracle did not reach the feasible region; cannot polish"
         )
-    return p * (problem.margin / worst)
-
-
-def _penalty_solve(problem: ClassProblem, linear_objective: bool) -> OracleResult:
-    p, stage_violations = _penalty_descent(problem, linear_objective)
-    p = _polish_feasible(problem, p)
+    if worst < b:
+        p = p * (b / worst)
     return OracleResult(
         matrix=SymmetricMatrix((p + p.T) / 2.0),
-        objective=_smooth_objective(problem, p, linear_objective),
+        objective=smooth(p),
         max_violation=_max_violation(problem, p),
         stage_violations=tuple(stage_violations),
     )
 
 
 def solve_primal_penalty(problem: ClassProblem) -> OracleResult:
-    """Quadratic-penalty solve of the regularized primal.
-
-    Each stage minimizes (1/2)||P||^2 + lam*tr(PO) + rho * sum_i
-    max(0, b - x_i^T P x_i)^2 by gradient descent with a PSD projection
-    after every step; rho then increases along DEFAULT_SCHEDULE. A final
-    rescale makes the worst constraint hold exactly.
-    """
-    return _penalty_solve(problem, linear_objective=False)
+    """Quadratic-penalty solve of the regularized primal (1/2)||P||^2 +
+    lam*tr(P O): projected gradient descent at each penalty weight in
+    DEFAULT_SCHEDULE, then a rescale so the worst constraint holds exactly."""
+    return _penalty_solve(problem, 1.0, problem.lam)
 
 
 def solve_unregularized(problem: ClassProblem) -> OracleResult:
@@ -234,4 +187,9 @@ def solve_unregularized(problem: ClassProblem) -> OracleResult:
     Without the Frobenius term the objective is linear, so boundedness
     depends on the data; an O with a negative part raises UnboundedProblemError.
     """
-    return _penalty_solve(problem, linear_objective=True)
+    check_feasible_samples(problem)
+    # A feasible P exists, and P + t*v*v^T stays feasible for any eigenvector
+    # v of O, so tr(P O) is unbounded below iff O has a negative eigenvalue.
+    if negative_part(problem.extra_scatter).entries.any():
+        raise UnboundedProblemError("O has a negative eigenvalue: tr(P O) is unbounded below")
+    return _penalty_solve(problem, 0.0, 1.0)

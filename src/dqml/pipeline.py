@@ -199,7 +199,7 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
     """Train every class matrix and the training feature matrix.
 
     Classes are independent problems, solved one after another in class
-    order, each at the default ``SolverConfig()``.
+    order, each at solve_dual's one stopping rule.
     """
     trained = []
     for c in range(1, ds.class_count + 1):
@@ -317,6 +317,8 @@ def cross_validate_lambda(
         raise InvalidInputError("lambda grid must be nonempty")
     if any(not (np.isfinite(g) and g > 0) for g in grid):
         raise InvalidInputError("lambda grid values must be positive and finite")
+    if len(set(grid)) < len(grid):
+        raise InvalidInputError(f"lambda grid {grid} repeats a value")
     if folds < 2:
         raise InvalidInputError("folds must be at least 2")
 

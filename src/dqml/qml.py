@@ -43,6 +43,12 @@ _LINE_SEARCH_SHRINK = 0.5
 _ARMIJO_C = 1e-4
 _EPS = float(np.finfo(float).eps)
 
+# The stopping rule of solve_dual, read at each call: stop once the projected
+# gradient's max norm is at most GRAD_TOL * max(1, margin), or after
+# MAX_ITERATIONS steps.
+MAX_ITERATIONS = 500
+GRAD_TOL = 1e-7
+
 
 def build_scatter(samples: np.ndarray) -> SymmetricMatrix:
     """Scatter matrix sum_j x_j x_j^T of the given sample rows.
@@ -138,28 +144,11 @@ class DualVariables:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """The stopping rule of solve_dual: stop once the projected gradient's
-    max norm is at most grad_tol * max(1, margin), or after max_iterations
-    steps."""
-
-    max_iterations: int = 500
-    grad_tol: float = 1e-7
-
-    def __post_init__(self) -> None:
-        n = self.max_iterations
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {n!r}")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise InvalidInputError("grad_tol must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """How a solve_dual run ended, measured at the returned multipliers.
 
     ``termination`` names the exit taken: "converged" (grad_inf_norm <=
-    grad_tol * max(1, margin) there), "max_iterations" or
+    GRAD_TOL * max(1, margin) there), "max_iterations" or
     "line_search_failed". ``iterations`` counts the steps attempted,
     including a last one whose line search failed. ``objective_evals``
     counts the points evaluated: the start and the line-search trials that
@@ -393,18 +382,17 @@ def check_feasible_samples(problem: ClassProblem) -> np.ndarray:
     return norms
 
 
-def solve_dual(
-    problem: ClassProblem, config: SolverConfig = SolverConfig()
-) -> TrainedQuadraticMatrix:
+def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
     """Run the projected L-BFGS dual ascent and recover the trained matrix.
 
+    It stops at MAX_ITERATIONS and GRAD_TOL as they are when it is called.
     Raises InfeasibleProblemError when an intra-class sample has zero norm
     (its constraint x^T P x >= b > 0 can never hold) and
     NumericalFailureError when an iterate stops being finite.
     """
     sq_norms = check_feasible_samples(problem)
 
-    tol = config.grad_tol * max(1.0, problem.margin)
+    tol = GRAD_TOL * max(1.0, problem.margin)
     eig_before = eig_call_count()
     lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
 
@@ -425,7 +413,7 @@ def solve_dual(
         if grad_inf <= tol:
             termination = "converged"
             break
-        if iterations == config.max_iterations:
+        if iterations == MAX_ITERATIONS:
             termination = "max_iterations"
             break
 

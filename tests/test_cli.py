@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import dqml
-from dqml import cli
+from dqml import cli, qml
 from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, save_csv, split_random
 from dqml.errors import NumericalFailureError
 from dqml.pipeline import load_model
-from dqml.qml import SolverConfig
 
 
 def run_cli(argv):
@@ -84,7 +83,7 @@ class TestTrain:
             assert abs(ln["gap"]) <= 1e-5 * max(1.0, abs(ln["primal_objective"]))
             assert ln["iterations"] >= 1
             assert ln["evaluations"] >= ln["iterations"] + 1
-            assert 0.0 <= ln["grad_inf_norm"] <= SolverConfig.grad_tol
+            assert 0.0 <= ln["grad_inf_norm"] <= qml.GRAD_TOL
             assert 0.0 <= ln["max_violation"] <= 1e-4
         assert lines[-1]["lambda"] == 1.0
         model = load_model(model_path)
@@ -164,6 +163,18 @@ class TestTrain:
         assert code == 2
         assert "--folds needs several --lambda values" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--lambda", "1,1", "-o", "m.dqml"],
+        ["protocol", "--m-train", "3", "--lambda", "0.3,0.3"],
+    ])
+    def test_repeated_lambda_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write_training_csv(tmp_path / "train.csv")
+        code = run_cli([argv[0], "--data", "train.csv", *argv[1:]])
+        assert code == 2
+        assert "repeats a value" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
     def test_neither_lambda_nor_grid_rejected(self, tmp_path):
         data = write_training_csv(tmp_path / "train.csv")

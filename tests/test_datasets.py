@@ -39,62 +39,58 @@ class TestCsv:
         assert relabel == {7: 1, 9: 2}
         assert ds.labels.tolist() == [2, 1, 2]
 
-    def test_header_skipping(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,x1\n1,0.5\n2,1.5\n")
-        ds, _ = load_csv(p, has_header=True)
-        assert ds.n == 2
-
-    # A header, then blank and whitespace-only lines: line 5 is the second row.
-    PADDED = "label,a,b\n1,0.5,0.5\n\n  \t\n{}\n"
+    # Blank and whitespace-only lines: line 4 is the second row.
+    PADDED = "1,0.5,0.5\n\n  \t\n{}\n"
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         cases = [
-            ("1,0.5,0.5\n2,1\n", False, "row 2"),
-            (self.PADDED.format("2,1"), True, "row 5"),
-            ("1,0.5\n2,0.5,\n", False, "row 2: expected 2 cells, got 3"),
-            ("1,0.5,\n2,0.5,\n", False, "row 1: non-numeric"),
+            ("1,0.5,0.5\n2,1\n", "row 2"),
+            (self.PADDED.format("2,1"), "row 4"),
+            ("1,0.5\n2,0.5,\n", "row 2: expected 2 cells, got 3"),
+            ("1,0.5,\n2,0.5,\n", "row 1: non-numeric"),
         ]
-        for text, header, message in cases:
+        for text, message in cases:
             p.write_text(text)
             with pytest.raises(InvalidInputError, match=message):
-                load_csv(p, has_header=header)
+                load_csv(p)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         cases = [
-            ("1,0.5\n2,abc\n", False, "row 2"),
-            (self.PADDED.format("2,0.5,abc"), True, "row 5: non-numeric"),
+            ("1,0.5\n2,abc\n", "row 2"),
+            (self.PADDED.format("2,0.5,abc"), "row 4: non-numeric"),
             # float() reads 1_0 and a full-width 1, numpy does not.
-            (self.PADDED.format("2,0.5,1_0"), True, "row 5: non-numeric"),
-            ("1,0.5\n2,\uff11\n", False, "row 2: non-numeric"),
+            (self.PADDED.format("2,0.5,1_0"), "row 4: non-numeric"),
+            ("1,0.5\n2,\uff11\n", "row 2: non-numeric"),
         ]
-        for text, header, message in cases:
+        for text, message in cases:
             p.write_text(text)
             with pytest.raises(InvalidInputError, match=message):
-                load_csv(p, has_header=header)
+                load_csv(p)
 
     def test_bad_label_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         cases = [
-            ("1.5,0.5\n", False, "row 1"),
-            ("1.0,0.5\n", False, "row 1: label '1.0' is not an integer"),
-            ("1,0.5\n2.9,0.5\n", False, "row 2: label '2.9' is not an integer"),
-            (self.PADDED.format("1_0,0.5,0.5"), True, "row 5: label '1_0'"),
-            ("0,0.5\n", False, "positive"),
-            (self.PADDED.format("x,0.5,0.5"), True, "row 5: label 'x'"),
-            (self.PADDED.format("-3,0.5,0.5"), True, "row 5: label must be positive"),
-            ("1,0.5\n9223372036854775808,0.5\n", False, "row 2: label .* 64 bits"),
+            ("1.5,0.5\n", "row 1"),
+            ("1.0,0.5\n", "row 1: label '1.0' is not an integer"),
+            # The first line is data: a header is a bad label.
+            ("label,x1\n1,0.5\n", "row 1: label 'label' is not an integer"),
+            ("1,0.5\n2.9,0.5\n", "row 2: label '2.9' is not an integer"),
+            (self.PADDED.format("1_0,0.5,0.5"), "row 4: label '1_0'"),
+            ("0,0.5\n", "positive"),
+            (self.PADDED.format("x,0.5,0.5"), "row 4: label 'x'"),
+            (self.PADDED.format("-3,0.5,0.5"), "row 4: label must be positive"),
+            ("1,0.5\n9223372036854775808,0.5\n", "row 2: label .* 64 bits"),
         ]
-        for text, header, message in cases:
+        for text, message in cases:
             p.write_text(text)
             # Python's default filters ignore DeprecationWarning outside
             # __main__; the refusal must not depend on the caller's filters.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with pytest.raises(InvalidInputError, match=message):
-                    load_csv(p, has_header=header)
+                    load_csv(p)
 
     def test_label_read_through_float_is_refused(self, tmp_path, monkeypatch):
         # numpy releases before the deprecation expired read an int64 cell
@@ -118,12 +114,12 @@ class TestCsv:
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
-        for text, header in (("", False), ("\n  \n", False), ("label,x1\n", True)):
+        for text in ("", "\n  \n"):
             p.write_text(text)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidInputError, match="no data rows"):
-                    load_csv(p, has_header=header)
+                    load_csv(p)
 
     def test_one_column_is_refused(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -11,7 +11,6 @@ from dqml.errors import (
 )
 from dqml.oracle import (
     OracleResult,
-    default_half_width,
     solve_primal_grid,
     solve_primal_penalty,
     solve_unregularized,
@@ -69,22 +68,31 @@ class TestGridOracle:
         trained = solve_dual(prob)
         assert abs(res.objective - trained.report.primal_objective) <= 2.0 * step
 
-    def test_default_half_width(self):
-        prob = single_axis_problem()
-        assert default_half_width(prob) == pytest.approx(3.0)
-
     def test_refinement_is_monotone(self):
         prob = random_2d_problem(3)
         objectives = [
-            solve_primal_grid(prob, half_width=3.0, step=s).objective
+            solve_primal_grid(prob, step=s).objective
             for s in (0.2, 0.1, 0.05)
         ]
         assert objectives[1] <= objectives[0] + 1e-12
         assert objectives[2] <= objectives[1] + 1e-12
 
-    def test_too_coarse_grid_reports_infeasible(self):
-        with pytest.raises(InfeasibleProblemError, match="coarse"):
-            solve_primal_grid(single_axis_problem(), half_width=0.5, step=0.5)
+    @pytest.mark.parametrize("margin", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_coarsest_grid_holds_a_feasible_point(self, margin, scale):
+        # At step = bracket h the grid is {0, h} (and -h for c); diag(h, h)
+        # satisfies every constraint, so the search never comes back empty.
+        base = random_2d_problem(11)
+        prob = ClassProblem(
+            scale * base.intra * [[1.0], [2.0], [0.5], [1.0], [3.0]],
+            base.extra_scatter, lam=base.lam, margin=margin,
+        )
+        x = prob.intra
+        bracket = 3.0 * margin * float(np.max(1.0 / np.einsum("ij,ij->i", x, x)))
+        for step in (bracket, 0.7 * bracket):
+            res = solve_primal_grid(prob, step=step)
+            assert res.max_violation == 0.0
+            assert np.min(np.linalg.eigvalsh(res.matrix.entries)) >= -1e-9 * bracket
 
     def test_requires_two_dimensions(self):
         prob = ClassProblem(np.eye(3), zero_scatter(3), lam=1.0)
@@ -95,7 +103,8 @@ class TestGridOracle:
         with pytest.raises(InvalidInputError):
             solve_primal_grid(single_axis_problem(), step=0.0)
         with pytest.raises(InvalidInputError):
-            solve_primal_grid(single_axis_problem(), half_width=0.01, step=0.5)
+            # The single-axis problem's bracket is 3.
+            solve_primal_grid(single_axis_problem(), step=5.0)
 
     def test_zero_norm_sample_is_infeasible(self):
         prob = ClassProblem(

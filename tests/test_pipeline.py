@@ -250,6 +250,8 @@ class TestCrossValidation:
             cross_validate_lambda(ds, [0.0, 1.0], folds=2)
         with pytest.raises(InvalidInputError):
             cross_validate_lambda(ds, [1.0], folds=1)
+        with pytest.raises(InvalidInputError, match="repeats a value"):
+            cross_validate_lambda(ds, [0.3, 1, 1.0], folds=2)
 
     def test_all_classes_too_small(self):
         ds = gaussian_dataset(per_class=3)

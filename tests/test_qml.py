@@ -16,7 +16,6 @@ from dqml.pipeline import build_class_problem
 from dqml.qml import (
     ClassProblem,
     DualVariables,
-    SolverConfig,
     assemble_m,
     build_scatter,
     constraint_values,
@@ -95,16 +94,6 @@ class TestConstruction:
     def test_dual_variables_reject_negative(self):
         with pytest.raises(InvalidInputError):
             DualVariables(np.array([0.5, -0.1]))
-
-    def test_solver_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(grad_tol=0.0)
-        # A fractional cap would never equal the iteration count.
-        with pytest.raises(InvalidInputError, match="integer"):
-            SolverConfig(max_iterations=2.5)
-        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestBuildScatter:
@@ -204,13 +193,13 @@ class TestSolver:
         with pytest.raises(InvalidInputError, match="expected 10 dual variables"):
             kkt_report(prob, short, trained.matrix)
 
-    def test_dual_objective_does_not_fall_with_more_iterations(self):
+    def test_dual_objective_does_not_fall_with_more_iterations(self, monkeypatch):
         rng = np.random.default_rng(21)
         prob = random_class_problem(rng, dim=7, n_intra=12, n_extra=20)
-        values = [
-            solve_dual(prob, SolverConfig(max_iterations=k)).report.dual_objective
-            for k in range(1, 25)
-        ]
+        values = []
+        for k in range(1, 25):
+            monkeypatch.setattr(qml, "MAX_ITERATIONS", k)
+            values.append(solve_dual(prob).report.dual_objective)
         assert np.all(np.diff(values) >= -1e-12)
 
     def test_eig_calls_match_objective_evals(self):
@@ -236,10 +225,11 @@ class TestSolver:
         with pytest.raises(InfeasibleProblemError, match="zero norm"):
             solve_dual(bad)
 
-    def test_respects_iteration_cap(self):
+    def test_respects_iteration_cap(self, monkeypatch):
         rng = np.random.default_rng(4)
         prob = random_class_problem(rng, dim=6, n_intra=10, n_extra=20)
-        trained = solve_dual(prob, SolverConfig(max_iterations=3))
+        monkeypatch.setattr(qml, "MAX_ITERATIONS", 3)
+        trained = solve_dual(prob)
         assert trained.report.iterations == 3
         assert trained.report.converged is False
         assert trained.report.termination == "max_iterations"
@@ -247,12 +237,14 @@ class TestSolver:
         kkt = kkt_report(prob, trained.dual, trained.matrix)
         assert trained.report.grad_inf_norm == kkt.grad_inf_norm
 
-    def test_tolerance_below_rounding_ends_in_line_search_failure(self):
+    def test_tolerance_below_rounding_ends_in_line_search_failure(self, monkeypatch):
         # No step can lower -D by the Armijo amount once the gradient is
-        # near rounding, so the line search fails before grad_tol is met.
+        # near rounding, so the line search fails before GRAD_TOL is met.
         rng = np.random.default_rng(0)
         prob = random_class_problem(rng, dim=6, n_intra=10, n_extra=20)
-        trained = solve_dual(prob, SolverConfig(max_iterations=2000, grad_tol=1e-14))
+        monkeypatch.setattr(qml, "MAX_ITERATIONS", 2000)
+        monkeypatch.setattr(qml, "GRAD_TOL", 1e-14)
+        trained = solve_dual(prob)
         assert trained.report.termination == "line_search_failed"
         assert trained.report.converged is False
         assert trained.report.iterations < 2000
