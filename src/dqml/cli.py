@@ -37,6 +37,7 @@ from .errors import (
 )
 from .oracle import solve_primal_grid, solve_primal_penalty
 from .pipeline import (
+    build_class_problem,
     cross_validate_lambda,
     evaluate,
     load_model,
@@ -210,12 +211,15 @@ def cmd_train(args) -> int:
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
+        kkt = kkt_report(build_class_problem(ds, c, lam), trained.dual, trained.matrix)
         print(json.dumps({
             "class": c,
             "iterations": rep.iterations,
             "dual_objective": rep.dual_objective,
             "primal_objective": rep.primal_objective,
             "gap": rep.duality_gap,
+            "complementary_slackness": kkt.complementary_slackness,
+            "min_eigenvalue": kkt.min_eigenvalue,
             "converged": rep.converged,
             "termination": rep.termination,
             "evaluations": rep.objective_evals,

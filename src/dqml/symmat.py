@@ -127,8 +127,13 @@ def negative_part(a: SymmetricMatrix) -> SymmetricMatrix:
 
 
 def quad_forms(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_i^T P x_i for every row x_i of x."""
-    return np.einsum("ij,jk,ik->i", x, p, x)
+    """x_i^T P x_i for every row x_i of x, by one BLAS product x @ P and a
+    row-wise dot.
+
+    BLAS computes x @ P with gemm for several rows and gemv for one, so a row
+    on its own can differ from the same row in a batch in the last bits.
+    """
+    return np.einsum("ij,ij->i", x @ p, x)
 
 
 def trace_product(a: SymmetricMatrix, b: SymmetricMatrix) -> float:

@@ -11,9 +11,17 @@ import pytest
 
 import dqml
 from dqml import cli, qml
-from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, save_csv, split_random
+from dqml.datasets import (
+    SplitSpec,
+    SynthSpec,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+    split_random,
+)
 from dqml.errors import NumericalFailureError
-from dqml.pipeline import load_model
+from dqml.pipeline import build_class_problem, load_model, train_model_set
+from dqml.symmat import PSD_CERT_TOL
 
 
 def run_cli(argv):
@@ -110,6 +118,29 @@ class TestTrain:
             assert warning.startswith(
                 f"warning: class {ln['class']} did not converge ({ln['termination']}, grad "
             )
+
+    def test_per_class_lines_carry_kkt_slackness_and_min_eigenvalue(self, tmp_path, capsys):
+        # README's synth data at lambda 0.1.
+        data = tmp_path / "data.csv"
+        assert run_cli(["synth", "--classes", "3", "--dim", "10", "--per-class", "70",
+                        "--sep", "6", "--sigma", "1", "-o", str(data)]) == 0
+        capsys.readouterr()
+        code = run_cli(["train", "--data", str(data), "--lambda", "0.1",
+                        "-o", str(tmp_path / "m.dqml")])
+        assert code == 0
+        out = capsys.readouterr().out
+        per_class = [json.loads(ln) for ln in out.splitlines() if '"class"' in ln]
+        ds, _ = load_csv(data)
+        model = train_model_set(ds, 0.1)
+        assert [ln["class"] for ln in per_class] == [1, 2, 3]
+        for ln, trained in zip(per_class, model.matrices):
+            assert {"gap", "complementary_slackness", "min_eigenvalue",
+                    "termination"} <= ln.keys()
+            kkt = qml.kkt_report(build_class_problem(ds, ln["class"], 0.1),
+                                 trained.dual, trained.matrix)
+            assert ln["complementary_slackness"] == kkt.complementary_slackness
+            assert ln["min_eigenvalue"] == kkt.min_eigenvalue
+            assert ln["min_eigenvalue"] >= -PSD_CERT_TOL
 
     def test_cv_grid_selects_lambda(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "train.csv", per_class=12)
@@ -364,6 +395,14 @@ class TestDiagnose:
         parser = cli.build_parser()
         assert parser.parse_args(["diagnose", "--grid-oracle"]).grid_step == 0.01
         assert parser.parse_args(["diagnose"]).grid_step is None
+
+    def test_grid_oracle_refuses_a_step_past_the_cap(self, capsys):
+        # The instances are unit-norm, so the bracket is 3 and 0.001 would
+        # put 3000 steps across it.
+        code = run_cli(["diagnose", "--random-instances", "1", "--dim", "2",
+                        "--grid-oracle", "0.001"])
+        assert code == 2
+        assert "smallest step accepted is 0.005" in capsys.readouterr().err
 
     def test_penalty_oracle_agreement(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "4",

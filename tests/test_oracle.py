@@ -4,6 +4,7 @@ and the feasibility/PSD guarantees every oracle result must carry."""
 import numpy as np
 import pytest
 
+from dqml import oracle
 from dqml.errors import (
     InfeasibleProblemError,
     InvalidInputError,
@@ -105,6 +106,16 @@ class TestGridOracle:
         with pytest.raises(InvalidInputError):
             # The single-axis problem's bracket is 3.
             solve_primal_grid(single_axis_problem(), step=5.0)
+
+    def test_refuses_more_than_the_step_cap(self, monkeypatch):
+        # The single-axis problem's bracket is 3.
+        with pytest.raises(InvalidInputError, match="smallest step accepted is 0.005$"):
+            solve_primal_grid(single_axis_problem(), step=3.0 / 601)
+        monkeypatch.setattr(oracle, "GRID_MAX_STEPS", 20)
+        res = solve_primal_grid(single_axis_problem(), step=3.0 / 20)
+        assert res.max_violation == 0.0
+        with pytest.raises(InvalidInputError, match="puts 21 steps .* accepted is 0.15$"):
+            solve_primal_grid(single_axis_problem(), step=3.0 / 21)
 
     def test_zero_norm_sample_is_infeasible(self):
         prob = ClassProblem(

@@ -324,9 +324,11 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match="PSD floor"):
             evaluate(model, toy_dataset(), rule)
 
-    def test_batched_rules_match_single_sample_calls(self):
-        train = generate_synthetic(SynthSpec(3, 4, 12, 2.0, 1.0, seed=11))
-        test = generate_synthetic(SynthSpec(3, 4, 40, 2.0, 1.0, seed=12))
+    # A single sample's features come from gemv, a batch's from gemm.
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_batched_rules_match_single_sample_calls(self, dim):
+        train = generate_synthetic(SynthSpec(3, dim, 12, 2.0, 1.0, seed=11))
+        test = generate_synthetic(SynthSpec(3, dim, 40, 2.0, 1.0, seed=12))
         model = train_model_set(train, lam=0.3)
         rules = {
             "max": classify_max,

@@ -1,5 +1,7 @@
 """Symmetric-matrix algebra: hand-checked values plus algebraic properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from dqml.symmat import (
     min_eigenvalue,
     negative_part,
     positive_part,
+    quad_forms,
     trace_product,
 )
 
@@ -173,6 +176,37 @@ def test_eig_counter_tracks_decompositions():
     frobenius_norm(a)
     trace_product(a, a)
     assert eig_call_count() - before == 4
+
+
+def _layout(x, order):
+    if order == "C":
+        return np.ascontiguousarray(x)
+    if order == "F":
+        return np.asfortranarray(x)
+    # Every other row of a larger C array.
+    wide = np.full((2 * x.shape[0], x.shape[1]), np.nan)
+    wide[::2] = x
+    return wide[::2]
+
+
+@pytest.mark.parametrize("order", ["C", "F", "row-strided"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 3), (500, 64), (21000, 10)])
+def test_quad_forms_matches_the_triple_sum(shape, order):
+    n, m = shape
+    rng = np.random.default_rng([n, m])
+    b = rng.normal(size=(m, m))
+    p = np.eye(m) + b @ b.T / m  # PSD and well conditioned
+    x = rng.normal(size=shape)
+    if n > 1:
+        x[n // 2] = 0.0
+    x = _layout(x, order)
+    got = quad_forms(p, x)
+    # sum_jk x_ij P_jk x_ik, each row summed with one correct rounding.
+    want = np.array([math.fsum((np.outer(row, row) * p).ravel()) for row in x])
+    assert got.shape == (n,)
+    if n > 1:
+        assert got[n // 2] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_decomposition_dataclass_fields():
