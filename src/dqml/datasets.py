@@ -168,8 +168,9 @@ def write_sidecar(csv_path, entries: dict) -> Path:
     return sidecar
 
 
-def _read_pgm(path) -> np.ndarray:
-    """Decode an 8-bit PGM (P5 binary or P2 ASCII) into a float array."""
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """Decode an 8-bit PGM (P5 binary or P2 ASCII) into a float array of its
+    raw pixel values and the maxval its header declares."""
     blob = Path(path).read_bytes()
 
     # Header tokens are whitespace-separated with '#' comments to end of line.
@@ -218,7 +219,7 @@ def _read_pgm(path) -> np.ndarray:
         pixels = np.array(flat[: width * height], dtype=float)
     if pixels.max(initial=0.0) > maxval:
         raise InvalidInputError(f"{path}: pixel value exceeds declared maximum")
-    return pixels.reshape(height, width)
+    return pixels.reshape(height, width), maxval
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -245,6 +246,9 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def load_raster_dir(root) -> tuple[Dataset, int, dict[str, int]]:
     """Ingest ``root/<class-name>/<images>`` into RASTER_SIZE [0,1] vectors.
 
+    Each image is resized, then divided by the maxval of its own header, so
+    white is 1.0 at any bit depth.
+
     Class names map to indices 1..C in sorted order. Unreadable files are
     skipped; the number skipped is returned so callers can warn. A class
     whose directory yields no usable image invalidates the dataset.
@@ -266,11 +270,11 @@ def load_raster_dir(root) -> tuple[Dataset, int, dict[str, int]]:
         loaded = 0
         for f in sorted(p for p in cdir.iterdir() if p.is_file()):
             try:
-                img = _read_pgm(f)
+                img, maxval = _read_pgm(f)
             except (InvalidInputError, OSError):
                 skipped += 1
                 continue
-            vec = bilinear_resize(img, out_h, out_w).reshape(-1) / 255.0
+            vec = bilinear_resize(img, out_h, out_w).reshape(-1) / maxval
             rows.append(vec)
             labels.append(index)
             loaded += 1

@@ -144,8 +144,25 @@ class DualVariables:
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    """How a solve_dual run ended, measured at the returned multipliers.
+class KktReport:
+    """Optimality certificate of a (problem, dual, matrix) triple.
+
+    All quantities should be near zero at an optimum except min_eigenvalue,
+    which should be nonnegative up to the PSD certification tolerance.
+    """
+
+    grad_inf_norm: float
+    max_violation: float
+    complementary_slackness: float
+    duality_gap: float
+    min_eigenvalue: float
+    dual_objective: float
+    primal_objective: float
+
+
+@dataclass(frozen=True)
+class SolveReport(KktReport):
+    """How a solve_dual run ended, with the certificate of its returned triple.
 
     ``termination`` names the exit taken: "converged" (grad_inf_norm <=
     GRAD_TOL * max(1, margin) there), "max_iterations" or
@@ -153,16 +170,12 @@ class SolveReport:
     including a last one whose line search failed. ``objective_evals``
     counts the points evaluated: the start and the line-search trials that
     were evaluated, not those rejected unevaluated. ``eig_calls`` counts
-    the eigendecompositions made meanwhile, one per evaluation.
+    the eigendecompositions made meanwhile, one per evaluation; the one
+    of P behind ``min_eigenvalue`` is not counted.
     """
 
     iterations: int
     termination: str
-    dual_objective: float
-    primal_objective: float
-    duality_gap: float
-    grad_inf_norm: float
-    max_violation: float
     objective_evals: int
     eig_calls: int
 
@@ -182,19 +195,6 @@ class TrainedQuadraticMatrix:
     matrix: SymmetricMatrix
     dual: DualVariables | None
     report: SolveReport | None
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Optimality measurements for a (problem, dual, matrix) triple."""
-
-    grad_inf_norm: float
-    max_violation: float
-    complementary_slackness: float
-    duality_gap: float
-    min_eigenvalue: float
-    dual_objective: float
-    primal_objective: float
 
 
 def _assemble(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
@@ -311,13 +311,6 @@ def recover_primal(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     return _primal_from(v, neg)
 
 
-def _primal_value(problem: ClassProblem, p: np.ndarray) -> float:
-    """(1/2)||P||_F^2 + lam * tr(P O) of a raw array."""
-    return 0.5 * float(np.sum(p * p)) + problem.lam * float(
-        np.sum(p * problem.extra_scatter.entries)
-    )
-
-
 def _max_violation(problem: ClassProblem, p: np.ndarray) -> float:
     """Worst constraint violation max_i max(0, b - x_i^T P x_i) of a raw array."""
     return float(np.max(np.maximum(problem.margin - quad_forms(p, problem.intra), 0.0)))
@@ -327,7 +320,9 @@ def primal_objective(problem: ClassProblem, p: SymmetricMatrix) -> float:
     """(1/2)||P||_F^2 + lam * tr(P O)."""
     if p.dim != problem.dim:
         raise InvalidInputError(f"matrix is {p.dim}-dimensional, problem is {problem.dim}")
-    return _primal_value(problem, p.entries)
+    return 0.5 * float(np.sum(p.entries * p.entries)) + problem.lam * float(
+        np.sum(p.entries * problem.extra_scatter.entries)
+    )
 
 
 def constraint_values(problem: ClassProblem, p: SymmetricMatrix) -> np.ndarray:
@@ -466,21 +461,39 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
         if not (math.isfinite(f) and np.isfinite(g).all()):
             raise NumericalFailureError("solver iterate became non-finite")
 
+    eig_calls = eig_call_count() - eig_before
     p = _primal_from(v, neg)
-    dual_value = -f
-    primal_value = primal_objective(problem, p)
     report = SolveReport(
+        **_kkt(problem, u, -f, -g, p),
         iterations=iterations,
         termination=termination,
-        dual_objective=dual_value,
-        primal_objective=primal_value,
-        duality_gap=primal_value - dual_value,
-        grad_inf_norm=grad_inf,
-        max_violation=_max_violation(problem, p.entries),
         objective_evals=evals,
-        eig_calls=eig_call_count() - eig_before,
+        eig_calls=eig_calls,
     )
     return TrainedQuadraticMatrix(matrix=p, dual=DualVariables(u), report=report)
+
+
+def _kkt(
+    problem: ClassProblem,
+    u: np.ndarray,
+    dual_value: float,
+    dual_grad: np.ndarray,
+    matrix: SymmetricMatrix,
+) -> dict:
+    """KktReport's fields from multipliers u, D(u) and its gradient at u,
+    and a matrix: the whole certificate in one pass, with one eigh of the
+    matrix for min_eigenvalue."""
+    residual = problem.margin - constraint_values(problem, matrix)
+    primal_value = primal_objective(problem, matrix)
+    return dict(
+        grad_inf_norm=_projected_gradient(u, -dual_grad)[2],
+        max_violation=float(np.max(np.maximum(residual, 0.0))),
+        complementary_slackness=float(np.max(np.abs(u * residual))),
+        duality_gap=primal_value - dual_value,
+        min_eigenvalue=min_eigenvalue(matrix),
+        dual_objective=dual_value,
+        primal_objective=primal_value,
+    )
 
 
 def kkt_report(
@@ -488,26 +501,10 @@ def kkt_report(
     dual: DualVariables,
     matrix: SymmetricMatrix,
 ) -> KktReport:
-    """Measure optimality of a dual point and its recovered matrix.
-
-    All quantities should be near zero at an optimum except min_eigenvalue,
-    which should be nonnegative up to the PSD certification tolerance.
-    """
+    """Certify a dual point and a matrix, such as solve_dual's returned pair."""
     u = _check_dual_point(problem, dual.values)
     dual_value, dual_grad = _dual_state(problem, u)[:2]
-
-    slack = np.abs(u * (constraint_values(problem, matrix) - problem.margin))
-    primal_value = primal_objective(problem, matrix)
-
-    return KktReport(
-        grad_inf_norm=_projected_gradient(u, -dual_grad)[2],
-        max_violation=_max_violation(problem, matrix.entries),
-        complementary_slackness=float(np.max(slack)),
-        duality_gap=primal_value - dual_value,
-        min_eigenvalue=min_eigenvalue(matrix),
-        dual_objective=dual_value,
-        primal_objective=primal_value,
-    )
+    return KktReport(**_kkt(problem, u, dual_value, dual_grad, matrix))
 
 
 def random_class_problem(

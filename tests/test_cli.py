@@ -20,7 +20,7 @@ from dqml.datasets import (
     split_random,
 )
 from dqml.errors import NumericalFailureError
-from dqml.pipeline import build_class_problem, load_model, train_model_set
+from dqml.pipeline import load_model, train_model_set
 from dqml.symmat import PSD_CERT_TOL
 
 
@@ -136,10 +136,8 @@ class TestTrain:
         for ln, trained in zip(per_class, model.matrices):
             assert {"gap", "complementary_slackness", "min_eigenvalue",
                     "termination"} <= ln.keys()
-            kkt = qml.kkt_report(build_class_problem(ds, ln["class"], 0.1),
-                                 trained.dual, trained.matrix)
-            assert ln["complementary_slackness"] == kkt.complementary_slackness
-            assert ln["min_eigenvalue"] == kkt.min_eigenvalue
+            assert ln["complementary_slackness"] == trained.report.complementary_slackness
+            assert ln["min_eigenvalue"] == trained.report.min_eigenvalue
             assert ln["min_eigenvalue"] >= -PSD_CERT_TOL
 
     def test_cv_grid_selects_lambda(self, tmp_path, capsys):
@@ -413,17 +411,30 @@ class TestDiagnose:
                  if c["check"] == "penalty_objective_difference"]
         assert len(diffs) == 3
 
-    def test_perturbed_gradient_is_caught(self, capsys):
+    @staticmethod
+    def perturb_gradient(monkeypatch):
+        """Corrupt the analytic gradient that diagnose checks (negative control)."""
+        exact = cli.dual_gradient
+
+        def perturbed(prob, u):
+            g = exact(prob, u)
+            return g + 1e-3 * (1.0 + np.abs(g))
+
+        monkeypatch.setattr(cli, "dual_gradient", perturbed)
+
+    def test_perturbed_gradient_is_caught(self, monkeypatch, capsys):
+        self.perturb_gradient(monkeypatch)
         code = run_cli(["diagnose", "--random-instances", "2", "--dim", "4",
-                        "--seed", "0", "--perturb-grad"])
+                        "--seed", "0"])
         assert code == 4
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "gradient_fd_rel_error" in out
 
-    def test_failure_table_lists_instances(self, capsys):
+    def test_failure_table_lists_instances(self, monkeypatch, capsys):
+        self.perturb_gradient(monkeypatch)
         code = run_cli(["diagnose", "--random-instances", "2", "--dim", "3",
-                        "--seed", "5", "--perturb-grad", "--json"])
+                        "--seed", "5", "--json"])
         assert code == 4
         payload = json.loads(capsys.readouterr().out)
         bad = [c for c in payload["checks"] if not c["pass"]]
@@ -504,10 +515,11 @@ class TestArgumentTypes:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
     def test_command_line_examples_parse(self):
         """Every ``dqml ...`` line in README's "Command line" block parses."""
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        block = self.README.read_text().split("## Command line", 1)[1].split("```")[1]
         lines = [line for line in block.splitlines() if line.startswith("dqml ")]
         assert len(lines) >= 6
         parser = cli.build_parser()
@@ -516,3 +528,12 @@ class TestReadme:
                 parser.parse_args(line.split()[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    def test_library_quickstart_runs(self, capsys):
+        """README's "Library quickstart" block runs as documented."""
+        section = self.README.read_text().split("## Library quickstart", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md quickstart", "exec"), {})
+        iterations, gap, label, error = capsys.readouterr().out.split()
+        assert int(iterations) >= 1 and abs(float(gap)) < 1e-3
+        assert int(label) in (1, 2, 3) and 0.0 <= float(error) <= 1.0

@@ -247,9 +247,10 @@ class TestRaster:
         commented.write_bytes(
             b"P5\n# written by a scanner\n4 3\n#  second comment\n255\n" + img.tobytes()
         )
-        expected = datasets._read_pgm(plain)
-        assert np.array_equal(expected, img.astype(float))
-        assert np.array_equal(datasets._read_pgm(commented), expected)
+        expected, maxval = datasets._read_pgm(plain)
+        assert np.array_equal(expected, img.astype(float)) and maxval == 255
+        again, maxval = datasets._read_pgm(commented)
+        assert np.array_equal(again, expected) and maxval == 255
 
     @pytest.mark.parametrize("blob, message", [
         (b"P6\n2 2\n255\n" + bytes(12), "not a supported raster format"),
@@ -265,6 +266,22 @@ class TestRaster:
         path.write_bytes(blob)
         with pytest.raises(InvalidInputError, match=message):
             datasets._read_pgm(path)
+
+    def test_each_image_is_scaled_by_its_own_maxval(self, tmp_path):
+        # The same 4-bit image at maxval 15 (values v) and at maxval 255
+        # (values 17v): white is 1.0 in both, and v/15 and 17v/255 round to
+        # the same double. At 32x32 the resize is the identity.
+        rng = np.random.default_rng(2)
+        img = rng.integers(0, 16, size=(32, 32))
+        img[0, 0] = 15
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        write_pgm(tmp_path / "a" / "x.pgm", img, maxval=15)
+        write_pgm(tmp_path / "b" / "x.pgm", 17 * img, maxval=255)
+        ds, skipped, _ = load_raster_dir(tmp_path)
+        assert skipped == 0
+        assert np.array_equal(ds.samples[0], ds.samples[1])
+        assert ds.samples[0].max() == 1.0
 
     def test_values_lie_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 """Dual solver tests: closed forms, a finite-difference gradient oracle,
 optimality certificates, and structural invariants."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from dqml.pipeline import build_class_problem
 from dqml.qml import (
     ClassProblem,
     DualVariables,
+    KktReport,
     assemble_m,
     build_scatter,
     constraint_values,
@@ -379,6 +381,37 @@ class TestLineSearchScreen:
 
     def test_same_iterates_on_random_instances(self, monkeypatch):
         self._compare(monkeypatch, random_problems(10))
+
+
+class TestSolveReportCertificate:
+    """solve_dual's report carries the certificate kkt_report computes for
+    the returned (dual, matrix) pair, bit for bit, and counts one eigh per
+    evaluation."""
+
+    @staticmethod
+    def check(problems):
+        terminations = set()
+        for prob in problems:
+            trained = solve_dual(prob)
+            rep = trained.report
+            assert isinstance(rep, KktReport)
+            kkt = kkt_report(prob, trained.dual, trained.matrix)
+            for field in dataclasses.fields(KktReport):
+                assert getattr(rep, field.name).hex() == getattr(kkt, field.name).hex(), (
+                    field.name
+                )
+            assert rep.eig_calls == rep.objective_evals
+            terminations.add(rep.termination)
+        return terminations
+
+    def test_random_instances(self):
+        self.check(random_problems(10))
+
+    def test_reference_split_covers_every_exit(self):
+        terminations = self.check(
+            [*reference_split_problems(0.1), *reference_split_problems(10.0)]
+        )
+        assert terminations == {"converged", "max_iterations", "line_search_failed"}
 
 
 class TestPrimalRecovery:
