@@ -82,11 +82,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _lambda_grid(text: str) -> tuple[float, ...]:
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(
+            f"grid values must be positive numbers; {text!r} has an empty item"
+        )
     try:
-        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        grid = tuple(float(tok) for tok in tokens)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from None
-    if not grid or any(not (np.isfinite(g) and g > 0) for g in grid):
+    if any(not (np.isfinite(g) and g > 0) for g in grid):
         raise argparse.ArgumentTypeError("grid values must be positive numbers")
     return grid
 

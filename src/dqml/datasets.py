@@ -152,11 +152,25 @@ def _raise_first_bad_row(path, lines: list[str], reason: str) -> NoReturn:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write ``label,v1,...,vm`` rows; a rerun produces identical bytes."""
+    """Write ``label,v1,...,vm`` rows; a rerun produces identical bytes.
+
+    Each value is written as Python's shortest round-trip ``repr`` of the
+    double, so load_csv reads back the same doubles bit for bit, and the
+    bytes do not depend on the numpy version. Rows are converted to Python
+    floats one block at a time with ``tolist()``. The block holds about 1024
+    values whatever the dimension, so the temporary lists and text stay a few
+    tens of kilobytes on wide data as on narrow.
+    """
+    block = max(1, 1024 // ds.dim)
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(ds.n):
-            values = ",".join(repr(float(v)) for v in ds.samples[i])
-            fh.write(f"{int(ds.labels[i])},{values}\n")
+        for start in range(0, ds.n, block):
+            stop = start + block
+            labels = ds.labels[start:stop].tolist()
+            rows = ds.samples[start:stop].tolist()
+            fh.write("".join(
+                f"{label},{','.join(map(repr, row))}\n"
+                for label, row in zip(labels, rows)
+            ))
 
 
 def write_sidecar(csv_path, entries: dict) -> Path:

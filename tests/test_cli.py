@@ -465,6 +465,9 @@ class TestArgumentTypes:
         ("--lambda", "a,b", "bad grid 'a,b'"),
         ("--lambda", "0,1", "grid values must be positive numbers"),
         ("--lambda", ",", "grid values must be positive numbers"),
+        ("--lambda", "1,,3", "'1,,3' has an empty item"),
+        ("--lambda", "1,", "'1,' has an empty item"),
+        ("--lambda", ",1", "',1' has an empty item"),
     ])
     def test_refused_values_are_usage_errors(self, flag, value, message, tmp_path, capsys):
         if flag == "--dim":

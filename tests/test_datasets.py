@@ -21,6 +21,13 @@ from dqml.datasets import (
 from dqml.errors import InvalidInputError
 from dqml.pipeline import Dataset
 
+# Signed zero, the smallest subnormal and normal, values next to repr's switch
+# between plain and exponent notation, the largest double and two plain values.
+CSV_EDGE_VALUES = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05,
+    1e16, 1.7976931348623157e308, 2.0, 0.1,
+]
+
 
 class TestCsv:
     def test_basic(self, tmp_path):
@@ -163,6 +170,26 @@ class TestCsv:
             assert np.array_equal(back.labels, ds.labels)
             save_csv(back, p)
             assert p.read_bytes() == first
+
+    @pytest.mark.parametrize("dim", [1, 10, 64])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["1", "block-1", "block", "block+1", "3*block+7"])
+    def test_bytes_match_per_value_repr_writer(self, blocks, extra, dim, tmp_path):
+        # save_csv converts rows in blocks of max(1, 1024 // dim); these row
+        # counts put the last row on each side of a block boundary.
+        n = blocks * max(1, 1024 // dim) + extra
+        samples = np.resize(CSV_EDGE_VALUES, (n, dim))
+        ds = Dataset(samples, 1 + np.arange(n) % min(n, 12))
+        expected = "".join(
+            f"{int(label)},{','.join(repr(float(v)) for v in row)}\n"
+            for label, row in zip(ds.labels, ds.samples)
+        )
+        p = tmp_path / "d.csv"
+        save_csv(ds, p)
+        assert p.read_bytes() == expected.encode("utf-8")
+        back, _ = load_csv(p)
+        assert back.samples.tobytes() == ds.samples.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
 
     def test_sidecar(self, tmp_path):
         p = tmp_path / "d.csv"
