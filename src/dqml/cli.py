@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -236,12 +237,23 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     test, _ = load_csv(args.data)
-    results = {rule: evaluate(model, test, rule) for rule in ("max", "nn_cosine")}
+    results, seconds = {}, {}
+    for rule in ("max", "nn_cosine"):
+        t0 = time.perf_counter()
+        results[rule] = evaluate(model, test, rule)
+        seconds[rule] = time.perf_counter() - t0
     if args.json:
         print(json.dumps({
             "mode": "single",
             "n": test.n,
-            **{rule: {"error": res.error_rate} for rule, res in results.items()},
+            **{
+                rule: {
+                    "error": res.error_rate,
+                    "seconds": seconds[rule],
+                    "us_per_sample": 1e6 * seconds[rule] / test.n,
+                }
+                for rule, res in results.items()
+            },
         }))
     else:
         print(f"evaluated {test.n} samples")

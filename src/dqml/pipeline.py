@@ -181,18 +181,27 @@ def _nn_cosine_labels(f: np.ndarray, model: ModelSet) -> np.ndarray:
     """Label of the training feature most cosine-similar to each row of f.
 
     Zero-norm stored features can never win; a zero-norm query has no
-    defined direction and is rejected.
+    defined direction and is rejected. Rows are scored one block at a time,
+    each block's cosine array holding about 32768 floats (256 KiB), so the
+    working memory is bounded by the block, not by the number of queries.
     """
     qn = np.linalg.norm(f, axis=1)
     if (qn == 0.0).any():
         raise DegenerateFeatureError("query feature vector has zero norm")
-    col_norms = np.linalg.norm(model.training_features, axis=0)
-    if not (col_norms > 0.0).any():
+    t = model.training_features
+    col_norms = np.linalg.norm(t, axis=0)
+    dead = col_norms == 0.0
+    if dead.all():
         raise DegenerateFeatureError("every training feature has zero norm")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (f @ model.training_features) / (qn[:, None] * col_norms)
-    cos[:, col_norms == 0.0] = -np.inf
-    return model.training_labels[np.argmax(cos, axis=1)]
+    block = max(1, 32768 // t.shape[1])
+    best = np.empty(f.shape[0], dtype=np.intp)
+    for start in range(0, f.shape[0], block):
+        stop = start + block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (f[start:stop] @ t) / (qn[start:stop, None] * col_norms)
+        cos[:, dead] = -np.inf
+        best[start:stop] = np.argmax(cos, axis=1)
+    return model.training_labels[best]
 
 
 def train_model_set(ds: Dataset, lam: float) -> ModelSet:
@@ -269,8 +278,9 @@ def evaluate(model: ModelSet, test: Dataset, rule: str) -> EvaluationResult:
     f = _feature_matrix(model.matrices, test.samples)
     pred = np.argmax(f, axis=1) + 1 if rule == "max" else _nn_cosine_labels(f, model)
     c = model.class_count
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (test.labels - 1, pred - 1), 1)
+    confusion = np.bincount(
+        (test.labels - 1) * c + (pred - 1), minlength=c * c
+    ).reshape(c, c)
     wrong = int(np.count_nonzero(pred != test.labels))
     return EvaluationResult(error_rate=wrong / test.n, confusion=confusion)
 

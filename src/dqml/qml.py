@@ -112,9 +112,14 @@ class ClassProblem:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "margin", float(self.margin))
         with np.errstate(over="ignore"):
-            lam_o = self.lam * self.extra_scatter.entries
+            lam_o = self.lam_o
         if not np.isfinite(lam_o).all():
             raise InvalidInputError("lam * extra_scatter has non-finite entries")
+
+    @property
+    def lam_o(self) -> np.ndarray:
+        """lam * O, the constant term of M(u), computed at each access."""
+        return self.lam * self.extra_scatter.entries
 
     @property
     def n_intra(self) -> int:
@@ -197,15 +202,15 @@ class TrainedQuadraticMatrix:
     report: SolveReport | None
 
 
-def _assemble(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
-    """The raw array of M(u) = lam*O - sum_i u_i x_i x_i^T."""
+def _assemble(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray) -> np.ndarray:
+    """The raw array of M(u) = lam*O - sum_i u_i x_i x_i^T, given lam_o = lam*O."""
     x = problem.intra
-    m = problem.lam * problem.extra_scatter.entries - (x.T * u) @ x
+    m = lam_o - (x.T * u) @ x
     return (m + m.T) / 2.0
 
 
-def _dual_state(problem: ClassProblem, u: np.ndarray):
-    """D(u), its gradient, and the spectrum of M(u).
+def _dual_state(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray):
+    """D(u), its gradient, and the spectrum of M(u), given lam_o = lam*O.
 
     The one place the dual is evaluated: exactly one eigendecomposition per
     call. Returns (dual_value, dual_gradient, eigenvectors,
@@ -213,7 +218,7 @@ def _dual_state(problem: ClassProblem, u: np.ndarray):
     y2 = (X V)^2 holds the squared coordinates of the samples in the
     eigenbasis.
     """
-    m = _assemble(problem, u)
+    m = _assemble(problem, u, lam_o)
     if not np.isfinite(m).all():
         raise NumericalFailureError("dual matrix M(u) has non-finite entries")
     try:
@@ -234,12 +239,14 @@ def _f_lower_bound(
     y2: np.ndarray,
     u: np.ndarray,
     u_new: np.ndarray,
+    delta: np.ndarray,
     sq_norms: np.ndarray,
     lam_o_norm: float,
 ) -> float:
     """A lower bound on the f = -D(u_new) that _dual_state would compute,
     from the spectrum w and y2 of M(u) at the point u, without an
-    eigendecomposition. sq_norms holds ||x_i||^2 and lam_o_norm ||lam O||_F.
+    eigendecomposition. delta is the step u_new - u, sq_norms holds
+    ||x_i||^2 and lam_o_norm ||lam O||_F.
 
     ||M_-||_F^2 is the squared distance from M to the PSD cone, and the cone
     lies inside {A : diag(V^T A V) >= 0} for any orthonormal V. So
@@ -266,7 +273,7 @@ def _f_lower_bound(
     So tau = eps ((m^2 + n) S^2 + 2 b sum(u_new)).
     """
     n, m = y2.shape
-    z = np.minimum(w - (u_new - u) @ y2, 0.0)
+    z = np.minimum(w - delta @ y2, 0.0)
     s = lam_o_norm + float(np.maximum(u, u_new).dot(sq_norms))
     linear = problem.margin * float(u_new.sum())
     tau = _EPS * ((m * m + n) * s * s + 2.0 * linear)
@@ -281,17 +288,17 @@ def _primal_from(v: np.ndarray, neg: np.ndarray) -> SymmetricMatrix:
 
 def assemble_m(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     """The dual matrix M(u) = lam*O - sum_i u_i x_i x_i^T."""
-    return SymmetricMatrix(_assemble(problem, _check_dual_point(problem, u)))
+    return SymmetricMatrix(_assemble(problem, _check_dual_point(problem, u), problem.lam_o))
 
 
 def dual_objective(problem: ClassProblem, u: np.ndarray) -> float:
     """D(u) = -(1/2)||M(u)_-||_F^2 + b * sum(u)."""
-    return _dual_state(problem, _check_dual_point(problem, u))[0]
+    return _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[0]
 
 
 def dual_gradient(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
     """dD/du_i = b + x_i^T M(u)_- x_i."""
-    return _dual_state(problem, _check_dual_point(problem, u))[1]
+    return _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[1]
 
 
 def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
@@ -307,7 +314,7 @@ def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
 
 def recover_primal(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     """Trained matrix P = -M(u)_-, PSD by construction."""
-    v, neg = _dual_state(problem, _check_dual_point(problem, u))[2:4]
+    v, neg = _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[2:4]
     return _primal_from(v, neg)
 
 
@@ -389,11 +396,12 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
 
     tol = GRAD_TOL * max(1.0, problem.margin)
     eig_before = eig_call_count()
+    lam_o = problem.lam_o
     lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
-    dual_value, dual_grad, v, neg, w, y2 = _dual_state(problem, u)
+    dual_value, dual_grad, v, neg, w, y2 = _dual_state(problem, u, lam_o)
     f = -dual_value
     g = -dual_grad
     evals = 1
@@ -435,10 +443,11 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
             # whose lower bound on f(u_new) exceeds armijo: skip evaluating it.
             if not (
                 directional >= 0.0
-                or _f_lower_bound(problem, w, y2, u, u_new, sq_norms, lam_o_norm) > armijo
+                or _f_lower_bound(problem, w, y2, u, u_new, delta, sq_norms, lam_o_norm)
+                > armijo
             ):
                 dual_new, dual_grad_new, v_new, neg_new, w_new, y2_new = _dual_state(
-                    problem, u_new
+                    problem, u_new, lam_o
                 )
                 f_new = -dual_new
                 evals += 1
@@ -503,7 +512,7 @@ def kkt_report(
 ) -> KktReport:
     """Certify a dual point and a matrix, such as solve_dual's returned pair."""
     u = _check_dual_point(problem, dual.values)
-    dual_value, dual_grad = _dual_state(problem, u)[:2]
+    dual_value, dual_grad = _dual_state(problem, u, problem.lam_o)[:2]
     return KktReport(**_kkt(problem, u, dual_value, dual_grad, matrix))
 
 

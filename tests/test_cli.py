@@ -252,8 +252,10 @@ class TestEval:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "single"
-        assert payload["max"]["error"] <= 0.25
-        assert payload["nn_cosine"]["error"] <= 0.25
+        for rule in ("max", "nn_cosine"):
+            assert payload[rule]["error"] <= 0.25
+            assert payload[rule]["seconds"] > 0.0
+            assert payload[rule]["us_per_sample"] > 0.0
 
     def test_single_shot_human_output(self, trained, capsys):
         data, model_path = trained
@@ -342,7 +344,10 @@ class TestEval:
         for path in (data, reordered):
             assert run_cli(["eval", "--model", str(model_path), "--data", str(path),
                             "--json"]) == 0
-            reports.append(json.loads(capsys.readouterr().out))
+            payload = json.loads(capsys.readouterr().out)
+            for rule in ("max", "nn_cosine"):
+                del payload[rule]["seconds"], payload[rule]["us_per_sample"]
+            reports.append(payload)
         assert reports[0] == reports[1]
 
     def test_corrupt_model_is_usage_error(self, trained, tmp_path):

@@ -2,6 +2,7 @@
 classification rules, cross-validation, and the model file round trip."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -25,6 +26,8 @@ from dqml.pipeline import (
     classify_max,
     classify_nn_cosine,
     cross_validate_lambda,
+    _feature_matrix,
+    _nn_cosine_labels,
     evaluate,
     extract_features,
     load_model,
@@ -228,6 +231,50 @@ class TestClassifyNnCosine:
         assert classify_nn_cosine(f, model) == 2
 
 
+def cosine_reference(f, model):
+    """The cosine rule in one shot, with one (n, n_train) array for all rows."""
+    t = model.training_features
+    qn = np.linalg.norm(f, axis=1)
+    col_norms = np.linalg.norm(t, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (f @ t) / (qn[:, None] * col_norms)
+    cos[:, col_norms == 0.0] = -np.inf
+    return model.training_labels[np.argmax(cos, axis=1)]
+
+
+class TestNnCosineBlocks:
+    N_TRAIN = 64
+    BLOCK = max(1, 32768 // N_TRAIN)
+
+    def model(self):
+        rng = np.random.default_rng(40)
+        mats = tuple(
+            TrainedQuadraticMatrix(SymmetricMatrix(np.eye(2)), None, None)
+            for _ in range(4)
+        )
+        feats = rng.uniform(0.0, 1.0, size=(4, self.N_TRAIN))
+        feats[:, 5] = 0.0
+        feats[:, 11] = feats[:, 10]
+        labels = rng.integers(1, 5, size=self.N_TRAIN)
+        labels[10], labels[11] = 1, 2
+        return ModelSet(mats, 1.0, feats, labels)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["1", "block-1", "block", "block+1", "3*block+7"])
+    def test_matches_one_shot_reference(self, blocks, extra):
+        # _nn_cosine_labels scores max(1, 32768 // n_train) rows at a time;
+        # these row counts put the last row on each side of a block boundary.
+        model = self.model()
+        n = blocks * self.BLOCK + extra
+        f = np.random.default_rng([41, n]).uniform(0.0, 1.0, size=(n, 4))
+        # Every third row points along training columns 10 and 11, an exact
+        # tie that the first of the two wins.
+        f[::3] = 2.5 * model.training_features[:, 10]
+        got = _nn_cosine_labels(f, model)
+        assert np.array_equal(got, cosine_reference(f, model))
+        assert np.all(got[::3] == 1)
+
+
 class TestCrossValidation:
     def test_single_value_grid(self):
         ds = gaussian_dataset(per_class=6)
@@ -343,6 +390,47 @@ class TestEvaluate:
             assert res.error_rate == (test.n - np.trace(want)) / test.n
             # Misclassified samples make the comparison cover more than the diagonal.
             assert np.trace(want) < test.n
+
+
+    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
+    def test_confusion_matches_add_at_reference(self, rule):
+        # Class c's matrix is e_c e_c^T, so feature c is x_c^2. No sample has
+        # a third coordinate and no training feature is labelled 3, so no
+        # sample is predicted as class 3; no test label is 4.
+        mats = tuple(
+            TrainedQuadraticMatrix(SymmetricMatrix(np.diag(np.eye(4)[c])), None, None)
+            for c in range(4)
+        )
+        rng = np.random.default_rng(43)
+        train_labels = rng.choice([1, 2, 4], size=30)
+        model = ModelSet(mats, 1.0, rng.uniform(0.0, 1.0, size=(4, 30)), train_labels)
+        x = rng.normal(size=(300, 4))
+        x[:, 2] = 0.0
+        test = Dataset(x, rng.integers(1, 4, size=300))
+        f = _feature_matrix(model.matrices, test.samples)
+        pred = np.argmax(f, axis=1) + 1 if rule == "max" else cosine_reference(f, model)
+        want = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(want, (test.labels - 1, pred - 1), 1)
+        res = evaluate(model, test, rule)
+        assert res.confusion.dtype == np.int64
+        assert np.array_equal(res.confusion, want)
+        assert not want[:, 2].any() and not want[3].any() and want[:, 3].any()
+        assert res.error_rate == (test.n - np.trace(want)) / test.n
+
+    def test_cosine_memory_is_bounded_by_the_block(self):
+        # The one-shot rule builds three (50,000, 60) float arrays here and
+        # peaks at about 47 MiB; in blocks the features dominate, about 5 MiB.
+        model = train_model_set(gaussian_dataset(per_class=20, dim=10), lam=0.1)
+        assert model.training_labels.size == 60
+        rng = np.random.default_rng(44)
+        test = Dataset(rng.normal(size=(50_000, 10)), np.arange(50_000) % 3 + 1)
+        tracemalloc.start()
+        try:
+            evaluate(model, test, "nn_cosine")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestModelFile:

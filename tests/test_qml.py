@@ -291,10 +291,10 @@ def random_problems(count):
 
 def f_lower_bound(problem, u, u_new):
     """qml._f_lower_bound from the spectrum at u, as solve_dual calls it."""
-    w, y2 = qml._dual_state(problem, u)[4:]
+    w, y2 = qml._dual_state(problem, u, problem.lam_o)[4:]
     sq_norms = qml.check_feasible_samples(problem)
     lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
-    return qml._f_lower_bound(problem, w, y2, u, u_new, sq_norms, lam_o_norm)
+    return qml._f_lower_bound(problem, w, y2, u, u_new, u_new - u, sq_norms, lam_o_norm)
 
 
 def report_fields(trained):
@@ -344,7 +344,7 @@ class TestLineSearchScreen:
         checked = 0
         for _ in range(20):
             u = unit * 10.0 ** rng.uniform(-2, 2) * rng.exponential(size=prob.n_intra)
-            w = qml._dual_state(prob, u)[4]
+            w = qml._dual_state(prob, u, prob.lam_o)[4]
             if (np.abs(w) <= EIGENVALUE_CLAMP_RTOL * np.abs(w).max()).any():
                 continue
             checked += 1
