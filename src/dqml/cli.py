@@ -226,6 +226,7 @@ def cmd_train(args) -> int:
             "evaluations": rep.objective_evals,
             "grad_inf_norm": rep.grad_inf_norm,
             "max_violation": rep.max_violation,
+            "seconds": rep.seconds,
         }))
         if not rep.converged:
             print(f"warning: class {c} did not converge "

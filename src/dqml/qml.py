@@ -21,13 +21,15 @@ already fails the test is rejected unevaluated.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .symmat import (
+    EIGENVALUE_CLAMP_RTOL,
     SymmetricMatrix,
     _clamped_part,
     _eigh_descending,
@@ -176,13 +178,16 @@ class SolveReport(KktReport):
     counts the points evaluated: the start and the line-search trials that
     were evaluated, not those rejected unevaluated. ``eig_calls`` counts
     the eigendecompositions made meanwhile, one per evaluation; the one
-    of P behind ``min_eigenvalue`` is not counted.
+    of P behind ``min_eigenvalue`` is not counted. ``seconds`` is the
+    solve's wall time; it differs between equal runs, so reports compare
+    equal without it.
     """
 
     iterations: int
     termination: str
     objective_evals: int
     eig_calls: int
+    seconds: float = field(compare=False)
 
     @property
     def converged(self) -> bool:
@@ -258,26 +263,45 @@ def _f_lower_bound(
     computations. With S = ||lam O||_F + sum_i max(u_i, u_new_i) ||x_i||^2,
     which bounds ||M||_F at u and at u_new, and constants of order one
     dropped:
-    - eigh is backward stable: w and V are exact for a matrix within
-      m eps S of M, and V is orthonormal to m eps. So each term
-      w_k - (delta . y2)_k, and each computed eigenvalue of M(u_new), is
-      within m eps S of its exact value; over m terms of size <= S the
-      squared norms move by <= m^2 eps S^2.
-    - assembling M(u) and M(u_new), and the product delta . y2, add n terms
-      whose sizes sum to <= S: n eps S per entry, n eps S^2 in the squared
-      norms.
+    - ||A_-||_F is the distance from A to the PSD cone, so it moves by at
+      most ||E||_F when A moves by E; so does ||min(0, a)|| when a vector
+      a moves by e.
+    - eigh is backward stable, so the computed V lies within m eps of an
+      orthonormal Q that diagonalizes a matrix within m eps S of the
+      computed M(u). Assembling M(u) and forming delta . y2 add n terms
+      whose sizes sum to <= S. So the computed z equals
+      min(0, diag(Q^T M(u_new) Q)) up to a vector of norm
+      <= eps S (m^(3/2) + n sqrt(m)), and ||M(u_new)_-||_F is at least the
+      norm of that exact vector.
+    - the eigenvalues _dual_state would compute at u_new are exact for a
+      matrix within eps S (m^(3/2) + m n) of M(u_new): eigh's backward
+      error plus n rounded terms in each of the m^2 entries.
+    - so, with d = 2 eps S (m^(3/2) + m n), the computed negative part
+      before the clamp has norm >= ||z|| - d, and its square is
+      >= ||z||^2 - 2 ||z|| d whatever the sign of ||z|| - d.
     - the clamp band zeroes eigenvalues with |w_k| <= 1e-10 max|w|, which
-      lowers the computed ||M_-||^2 by <= m (1e-10 S)^2 < m eps S^2.
-    - the subtraction of b sum(u_new), the same float on both sides, rounds
-      by <= eps (S^2 + b sum(u_new)).
-    So tau = eps ((m^2 + n) S^2 + 2 b sum(u_new)).
+      lowers the computed ||M_-||^2 by <= m (1e-10 S)^2.
+    - the two dot products z . z and neg . neg round by <= m eps ||z||^2
+      between them, up to terms already counted, and the subtraction of
+      b sum(u_new), the same float on both sides, by
+      <= eps (||z||^2 + 2 b sum(u_new)).
+    So tau = ||z|| d + (1/2) m (1e-10 S)^2
+             + eps ((m + 1) ||z||^2 + 2 b sum(u_new)).
+    It grows with ||z|| S, not with S^2. When S overflows, tau is inf or
+    NaN, and the caller's test then evaluates the trial.
     """
     n, m = y2.shape
     z = np.minimum(w - delta @ y2, 0.0)
+    zz = float(z.dot(z))
     s = lam_o_norm + float(np.maximum(u, u_new).dot(sq_norms))
     linear = problem.margin * float(u_new.sum())
-    tau = _EPS * ((m * m + n) * s * s + 2.0 * linear)
-    return 0.5 * float(z.dot(z)) - linear - tau
+    d = 2.0 * _EPS * s * (m * math.sqrt(m) + m * n)
+    tau = (
+        math.sqrt(zz) * d
+        + 0.5 * m * (EIGENVALUE_CLAMP_RTOL * s) * (EIGENVALUE_CLAMP_RTOL * s)
+        + _EPS * ((m + 1) * zz + 2.0 * linear)
+    )
+    return 0.5 * zz - linear - tau
 
 
 def _primal_from(v: np.ndarray, neg: np.ndarray) -> SymmetricMatrix:
@@ -392,12 +416,15 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
     (its constraint x^T P x >= b > 0 can never hold) and
     NumericalFailureError when an iterate stops being finite.
     """
+    start = time.perf_counter()
     sq_norms = check_feasible_samples(problem)
 
     tol = GRAD_TOL * max(1.0, problem.margin)
     eig_before = eig_call_count()
     lam_o = problem.lam_o
-    lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
+    # An overflow to inf makes the line search evaluate every trial.
+    with np.errstate(over="ignore"):
+        lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
@@ -478,6 +505,7 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
         termination=termination,
         objective_evals=evals,
         eig_calls=eig_calls,
+        seconds=time.perf_counter() - start,
     )
     return TrainedQuadraticMatrix(matrix=p, dual=DualVariables(u), report=report)
 

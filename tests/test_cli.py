@@ -93,6 +93,7 @@ class TestTrain:
             assert ln["evaluations"] >= ln["iterations"] + 1
             assert 0.0 <= ln["grad_inf_norm"] <= qml.GRAD_TOL
             assert 0.0 <= ln["max_violation"] <= 1e-4
+            assert ln["seconds"] >= 0.0
         assert lines[-1]["lambda"] == 1.0
         model = load_model(model_path)
         assert model.class_count == 2

@@ -31,6 +31,8 @@ from dqml.qml import (
 )
 from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, negative_part
 
+EPS = float(np.finfo(float).eps)
+
 
 def zero_scatter(dim):
     return SymmetricMatrix(np.zeros((dim, dim)))
@@ -219,6 +221,9 @@ class TestSolver:
         assert np.array_equal(a.matrix.entries, b.matrix.entries)
         assert np.array_equal(a.dual.values, b.dual.values)
         assert a.report.iterations == b.report.iterations
+        # Reports compare equal without their wall times.
+        assert a.report == b.report
+        assert a.report.seconds >= 0.0 and b.report.seconds >= 0.0
 
     def test_zero_norm_sample_is_infeasible(self):
         bad = ClassProblem(
@@ -274,6 +279,14 @@ def reference_split_problems(lam):
     return [build_class_problem(train, c, lam) for c in (1, 2, 3)]
 
 
+def wide_classes_problems(lam, classes=(1, 2, 3)):
+    """Class problems of the wide-classes benchmark's training set: 10
+    classes at m=64, unnormalised samples, 20 per class."""
+    ds = generate_synthetic(SynthSpec(10, 64, 70, 6.0, 1.0, seed=42))
+    train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+    return [build_class_problem(train, c, lam) for c in classes]
+
+
 def random_problems(count):
     problems = []
     for k in range(count):
@@ -317,8 +330,9 @@ class TestLineSearchScreen:
     already fails the Armijo test; the bound must hold and skip nothing the
     test would accept."""
 
-    PROBLEMS = [*random_problems(10), *(p for lam in (0.1, 1.0, 10.0)
-                                       for p in reference_split_problems(lam))]
+    PROBLEMS = [*random_problems(10),
+                *(p for lam in (0.1, 1.0, 10.0) for p in reference_split_problems(lam)),
+                *wide_classes_problems(0.1)]
 
     @pytest.mark.parametrize("index", range(len(PROBLEMS)))
     def test_bound_is_below_f(self, index):
@@ -349,11 +363,17 @@ class TestLineSearchScreen:
                 continue
             checked += 1
             f = -dual_objective(prob, u)
-            # The bound's rounding margin is eps ((m^2 + n) S^2 + 2 b sum(u));
-            # allow a few thousand times that.
+            # At a zero step the bound is f less its rounding margin
+            # tau = ||z|| d + m (1e-10 S)^2 / 2 + eps ((m + 1) ||z||^2 + 2 b sum(u)),
+            # with z the negative eigenvalues and d = 2 eps S (m^(3/2) + m n).
+            m, n = prob.dim, prob.n_intra
             s = prob.lam * np.linalg.norm(prob.extra_scatter.entries) + float(u @ sq_norms)
-            slack = 1e-12 * ((prob.dim**2 + prob.n_intra) * s * s + prob.margin * u.sum())
-            assert 0.0 <= f - f_lower_bound(prob, u, u) <= slack
+            z_norm = math.sqrt(float(np.square(np.minimum(w, 0.0)).sum()))
+            d = 2.0 * EPS * s * (m**1.5 + m * n)
+            tau = z_norm * d + 0.5 * m * (1e-10 * s) ** 2 + EPS * (
+                (m + 1) * z_norm**2 + 2.0 * prob.margin * u.sum()
+            )
+            assert 0.0 <= f - f_lower_bound(prob, u, u) <= 2.0 * tau
         assert checked >= 10
 
     def _compare(self, monkeypatch, problems):
@@ -381,6 +401,39 @@ class TestLineSearchScreen:
 
     def test_same_iterates_on_random_instances(self, monkeypatch):
         self._compare(monkeypatch, random_problems(10))
+
+    def test_same_iterates_at_m64(self, monkeypatch):
+        # Unnormalised samples at m=64, where the margin's scale matters
+        # most; the cap bounds the time.
+        monkeypatch.setattr(qml, "MAX_ITERATIONS", 200)
+        screened, plain = self._compare(monkeypatch, wide_classes_problems(0.1, (1, 2)))
+        for a, b in zip(screened, plain):
+            assert a.report.objective_evals < b.report.objective_evals
+
+    @staticmethod
+    def overflowing_problem():
+        # ||lam O||_F overflows although every entry of lam O is finite, so
+        # the bound's scale S is inf. M(u) = diag(1e160, -1e152 (u_1 + 4 u_2))
+        # is diagonal, so its spectrum is exact, and the line search
+        # rejects dozens of trials at each step.
+        extra = np.diag([1e160, 0.0])
+        intra = np.array([[0.0, 1e76], [0.0, 2e76]])
+        return ClassProblem(intra, SymmetricMatrix(extra), lam=1.0)
+
+    def test_overflowing_scale_makes_the_bound_nan(self):
+        prob = self.overflowing_problem()
+        u = np.zeros(prob.n_intra)
+        with np.errstate(over="ignore"):
+            assert math.isinf(float(np.linalg.norm(prob.extra_scatter.entries)))
+            # z = 0 at a zero step, so tau = 0 * inf.
+            assert math.isnan(f_lower_bound(prob, u, u))
+
+    def test_nan_bound_evaluates_every_trial(self, monkeypatch):
+        # A NaN or infinite margin must never skip a trial.
+        (screened,), (plain,) = self._compare(monkeypatch, [self.overflowing_problem()])
+        assert screened.report.termination == "line_search_failed"
+        assert screened.report.objective_evals == plain.report.objective_evals
+        assert screened.report.objective_evals > 10 * screened.report.iterations
 
 
 class TestSolveReportCertificate:
