@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .oracle import solve_primal_grid, solve_primal_penalty
 from .pipeline import (
+    Dataset,
     cross_validate_lambda,
     evaluate,
     load_model,
@@ -199,7 +201,7 @@ def _cv_folds(args) -> int:
 
 def cmd_train(args) -> int:
     folds = _cv_folds(args)
-    ds, _ = load_csv(args.data)
+    ds, relabel = load_csv(args.data)
 
     lam = args.lam[0]
     if len(args.lam) > 1:
@@ -209,12 +211,13 @@ def cmd_train(args) -> int:
             "cv": [{"lambda": e.lam, "mean_error": e.mean_error} for e in table],
         }))
 
-    model = train_model_set(ds, lam)
+    model = replace(train_model_set(ds, lam), class_labels=tuple(relabel))
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
         print(json.dumps({
             "class": c,
+            "label": model.class_labels[c - 1],
             "iterations": rep.iterations,
             "dual_objective": rep.dual_objective,
             "primal_objective": rep.primal_objective,
@@ -237,7 +240,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    test, _ = load_csv(args.data)
+    test, relabel = load_csv(args.data)
+    # Number the test file's labels as the model numbers its classes.
+    index = {label: c for c, label in enumerate(model.class_labels, start=1)}
+    if unknown := sorted(set(relabel) - set(index)):
+        raise InvalidInputError(f"{args.data}: labels {unknown} are not classes of the model")
+    test = Dataset(test.samples, np.array([index[label] for label in relabel])[test.labels - 1])
     results, seconds = {}, {}
     for rule in ("max", "nn_cosine"):
         t0 = time.perf_counter()
@@ -255,6 +263,8 @@ def cmd_eval(args) -> int:
                 }
                 for rule, res in results.items()
             },
+            "classes": [{"label": label, **summary} for label, summary in
+                        zip(model.class_labels, model.summaries or [{}] * model.class_count)],
         }))
     else:
         print(f"evaluated {test.n} samples")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -64,34 +64,40 @@ def load_csv(path) -> tuple[Dataset, dict[int, int]]:
     skipped. Labels are positive integers, relabeled to contiguous 1..C in
     sorted order of the original values, so labels that already are 1..C
     keep their values. The original -> new map is returned alongside the dataset.
+
+    The lines stream from the open file into numpy's parser, so no copy of
+    the whole text is held; only the error path reads the file a second time,
+    to name the first bad row.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
+            first = next(filter(str.strip, fh), None)
+            if first is None:
+                raise InvalidInputError(f"{path}: no data rows")
+            width = first.count(",") + 1
+            fh.seek(0)
+            if width < 2:
+                _raise_first_bad_row(path, fh, "need a label and a value")
+            try:
+                # numpy releases that still read an i8 cell such as 1.5 through
+                # float warn with a DeprecationWarning; as an error it refuses 1.5.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    table = np.loadtxt(
+                        filter(str.strip, fh),
+                        dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
+                        delimiter=",",
+                        comments=None,
+                        ndmin=1,
+                    )
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, DeprecationWarning) as exc:
+                _raise_first_bad_row(path, fh, str(exc))
+            if table["label"].min() < 1:
+                _raise_first_bad_row(path, fh, "label must be positive")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
-    rows = [line for line in lines if line.strip()]
-    if not rows:
-        raise InvalidInputError(f"{path}: no data rows")
-    width = rows[0].count(",") + 1
-    if width < 2:
-        _raise_first_bad_row(path, lines, "need a label and a value")
-    try:
-        # numpy releases that still read an i8 cell such as 1.5 through
-        # float warn with a DeprecationWarning; as an error it refuses 1.5.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                rows,
-                dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
-                delimiter=",",
-                comments=None,
-                ndmin=1,
-            )
-    except (ValueError, DeprecationWarning) as exc:
-        _raise_first_bad_row(path, lines, str(exc))
-    if table["label"].min() < 1:
-        _raise_first_bad_row(path, lines, "label must be positive")
 
     originals, labels = np.unique(table["label"], return_inverse=True)
     relabel = {lab: new for new, lab in enumerate(originals.tolist(), start=1)}
@@ -111,14 +117,16 @@ def _numpy_reads(cell: str, parse) -> bool:
     return "_" not in cell and cell.strip().isascii()
 
 
-def _raise_first_bad_row(path, lines: list[str], reason: str) -> NoReturn:
+def _raise_first_bad_row(path, fh: TextIO, reason: str) -> NoReturn:
     """Raise the InvalidInputError that names the first malformed data line.
 
-    Only load_csv's error path calls this. ``reason`` is the error raised
-    when no line breaks a rule checked here.
+    Only load_csv's error path calls this; it reads ``fh`` again from the
+    start. ``reason`` is the error raised when no line breaks a rule checked
+    here.
     """
+    fh.seek(0)
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue

@@ -32,13 +32,17 @@ from .qml import (
 from .symmat import SymmetricMatrix, quad_forms
 
 MODEL_MAGIC = b"DQML"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 FEATURE_FLOOR = -1e-8
+# One class's solve summary in a model file; termination indexes _TERMINATIONS.
+_SUMMARY = np.dtype([("termination", "<u4"), ("iterations", "<u4"), ("evaluations", "<u4"),
+                     ("grad_inf_norm", "<f8"), ("duality_gap", "<f8"), ("max_violation", "<f8")])
+_TERMINATIONS = (None, "converged", "max_iterations", "line_search_failed")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled samples: one row per sample, labels contiguous in 1..C."""
+    """Labeled samples: one row per sample, labels in 1..C; a class may have none."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -59,11 +63,6 @@ class Dataset:
         y = y.astype(np.int64)
         if y.min() < 1:
             raise InvalidInputError("labels must be positive")
-        c = int(y.max())
-        present = np.unique(y)
-        if present.size != c:
-            missing = sorted(set(range(1, c + 1)) - set(present.tolist()))
-            raise InvalidInputError(f"labels must cover 1..{c}; missing {missing}")
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "samples", x)
@@ -110,12 +109,15 @@ def _check_features(v: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """All per-class matrices plus the training features used by cosine NN."""
+    """All per-class matrices, the training features used by cosine NN, each class's
+    original label (default 1..C) and how its solve ended (None if unknown)."""
 
     matrices: tuple[TrainedQuadraticMatrix, ...]
     lam: float
     training_features: np.ndarray
     training_labels: np.ndarray
+    class_labels: tuple[int, ...] | None = None
+    summaries: tuple[dict, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.matrices) < 1:
@@ -139,12 +141,19 @@ class ModelSet:
         y = y.astype(np.int64)
         if y.size and (y.min() < 1 or y.max() > len(self.matrices)):
             raise InvalidInputError("training labels out of class range")
+        c = len(self.matrices)
+        labels = tuple(int(v) for v in self.class_labels or range(1, c + 1))
+        if not len(set(labels)) == len(labels) == c or min(labels) < 1:
+            raise InvalidInputError(f"class labels must be {c} distinct positive integers")
+        if self.summaries is not None and len(self.summaries) != c:
+            raise InvalidInputError(f"a model of {c} classes needs {c} solve summaries")
         f.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "training_features", f)
         object.__setattr__(self, "training_labels", y)
+        object.__setattr__(self, "class_labels", labels)
 
     @property
     def class_count(self) -> int:
@@ -212,6 +221,8 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
     """
     trained = []
     for c in range(1, ds.class_count + 1):
+        if not (ds.labels == c).any():
+            raise InvalidInputError(f"class {c} has no training sample")
         try:
             trained.append(solve_dual(build_class_problem(ds, c, lam)))
         except InfeasibleProblemError as exc:
@@ -224,6 +235,11 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
         # rounds the same on a trained model and on its reloaded copy.
         training_features=np.ascontiguousarray(features.T),
         training_labels=ds.labels,
+        summaries=tuple(
+            dict(zip(_SUMMARY.names, (r.termination, r.iterations, r.objective_evals,
+                                      r.grad_inf_norm, r.duality_gap, r.max_violation)))
+            for r in (t.report for t in trained)
+        ),
     )
 
 
@@ -379,6 +395,11 @@ def save_model(model: ModelSet, path) -> None:
     parts.append(struct.pack("<I", n))
     parts.append(np.ascontiguousarray(model.training_features, dtype="<f8").tobytes())
     parts.append(model.training_labels.astype("<u4").tobytes())
+    parts.append(np.array(model.class_labels, dtype="<i8").tobytes())
+    summary = np.zeros(c, dtype=_SUMMARY)
+    for i, s in enumerate(model.summaries or ()):
+        summary[i] = (_TERMINATIONS.index(s["termination"]), *(s[k] for k in _SUMMARY.names[1:]))
+    parts.append(summary.tobytes())
     payload = b"".join(parts)
     checksum = zlib.crc32(payload) & 0xFFFFFFFF
     with open(path, "wb") as fh:
@@ -389,10 +410,14 @@ def save_model(model: ModelSet, path) -> None:
 def load_model(path) -> ModelSet:
     """Read a model file written by save_model.
 
-    Layout, little-endian: magic "DQML", format version u32, m u32, C u32,
-    lam f64, C blocks of m*m f64 row-major matrix entries, n u32, training
-    features C x n f64 row-major, training labels n x u32, CRC32 u32 of all
-    preceding bytes. Loaded matrices carry no solve diagnostics.
+    Layout of version 2, little-endian: magic "DQML", format version u32,
+    m u32, C u32, lam f64, C blocks of m*m f64 row-major matrix entries,
+    n u32, training features C x n f64 row-major, training labels n x u32
+    (1..C), the original label of each class C x i64, the solve summary of
+    each class C x (termination, iterations, evaluations u32; grad_inf_norm,
+    duality_gap, max_violation f64), CRC32 u32 of all preceding bytes.
+    Version 1 files end after the training labels; they load with class
+    labels 1..C and no summaries. Loaded matrices carry no solve diagnostics.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -401,10 +426,10 @@ def load_model(path) -> ModelSet:
     if len(blob) < 8:
         raise ModelTruncatedError("model file ends inside the header")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ModelVersionError(
             f"model format version {version} is not supported "
-            f"(this build reads version {MODEL_FORMAT_VERSION})"
+            f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
         )
     header_len = 24  # magic, version, m, C, lam
     if len(blob) < header_len:
@@ -420,7 +445,8 @@ def load_model(path) -> ModelSet:
     if len(blob) < n_offset + 4:
         raise ModelTruncatedError("model file ends inside the matrix payload")
     (n,) = struct.unpack_from("<I", blob, n_offset)
-    total = n_offset + 4 + 8 * c * n + 4 * n + 4
+    class_labels_offset = n_offset + 4 + 8 * c * n + 4 * n
+    total = class_labels_offset + (8 + _SUMMARY.itemsize) * c * (version == 2) + 4
     if len(blob) < total:
         raise ModelTruncatedError(
             f"model file ends {total - len(blob)} bytes early"
@@ -445,9 +471,20 @@ def load_model(path) -> ModelSet:
     features = np.frombuffer(blob, dtype="<f8", count=c * n, offset=offset).reshape(c, n)
     offset += 8 * c * n
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset).astype(np.int64)
+    class_labels = summaries = None
+    if version == 2:
+        class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
+        rows = np.frombuffer(blob, _SUMMARY, c, class_labels_offset + 8 * c).tolist()
+        if any(r[0] >= len(_TERMINATIONS) for r in rows):
+            raise ModelFormatError("unknown termination code in a class summary")
+        if any(r[0] for r in rows):
+            summaries = tuple(dict(zip(_SUMMARY.names, (_TERMINATIONS[r[0]], *r[1:])))
+                              for r in rows)
     return ModelSet(
         matrices=tuple(matrices),
         lam=lam,
         training_features=features,
         training_labels=labels,
+        class_labels=class_labels,
+        summaries=summaries,
     )

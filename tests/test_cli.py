@@ -2,8 +2,10 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from dqml.datasets import (
     split_random,
 )
 from dqml.errors import NumericalFailureError
-from dqml.pipeline import load_model, train_model_set
+from dqml.pipeline import Dataset, load_model, train_model_set
 from dqml.symmat import PSD_CERT_TOL
 
 
@@ -350,6 +352,102 @@ class TestEval:
                 del payload[rule]["seconds"], payload[rule]["us_per_sample"]
             reports.append(payload)
         assert reports[0] == reports[1]
+
+    @pytest.fixture()
+    def three_classes(self, tmp_path):
+        """ROADMAP's reproduction: 3 classes trained at lambda 1, and eval's
+        JSON on a CSV of the rows whose labels pass a filter."""
+        data = tmp_path / "d.csv"
+        assert run_cli(["synth", "--classes", "3", "--dim", "4", "--per-class", "20",
+                        "--sep", "6", "--sigma", "1", "--seed", "1", "-o", str(data)]) == 0
+        model_path = tmp_path / "m.dqml"
+        assert run_cli(["train", "--data", str(data), "--lambda", "1",
+                        "-o", str(model_path)]) == 0
+        rows = data.read_text().splitlines()
+
+        def eval_rows(keep, relabel=str):
+            subset = tmp_path / "subset.csv"
+            subset.write_text("".join(
+                f"{relabel(r.split(',', 1)[0])},{r.split(',', 1)[1]}\n"
+                for r in rows if keep(int(r.split(",")[0]))
+            ))
+            code = run_cli(["eval", "--model", str(model_path), "--data", str(subset),
+                            "--json"])
+            return code, subset
+
+        return data, model_path, eval_rows
+
+    def test_test_file_may_lack_a_class(self, three_classes, capsys):
+        # Before the model stored its labels, the rows without class 2 scored
+        # 50% error and class 3's rows alone 100%, both with exit 0.
+        _, _, eval_rows = three_classes
+        capsys.readouterr()
+        for keep in (lambda lab: True, lambda lab: lab != 2, lambda lab: lab == 3):
+            code, _ = eval_rows(keep)
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["max"]["error"] == payload["nn_cosine"]["error"] == 0.0
+            assert [c["label"] for c in payload["classes"]] == [1, 2, 3]
+
+    def test_label_the_model_lacks_is_usage_error(self, three_classes, capsys):
+        _, _, eval_rows = three_classes
+        capsys.readouterr()
+        code, subset = eval_rows(lambda lab: lab != 2, {"1": "1", "3": "4"}.get)
+        assert code == 2
+        assert f"error: {subset}: labels [4] are not classes of the model" in (
+            capsys.readouterr().err
+        )
+
+    def test_original_labels_round_trip(self, tmp_path, capsys):
+        data, model_path = tmp_path / "d.csv", tmp_path / "m.dqml"
+        original = {1: 3, 2: 7, 3: 10}
+        ds = generate_synthetic(SynthSpec(3, 4, 20, 6.0, 1.0, seed=1))
+        save_csv(Dataset(ds.samples, [original[lab] for lab in ds.labels]), data)
+        assert run_cli(["train", "--data", str(data), "--lambda", "1",
+                        "-o", str(model_path)]) == 0
+        per_class = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()
+                     if '"class"' in ln]
+        assert [ln["label"] for ln in per_class] == [3, 7, 10]
+        model = load_model(model_path)
+        assert model.class_labels == (3, 7, 10)
+        rows = data.read_text().splitlines()
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join(r for r in rows if not r.startswith("3,")) + "\n")
+        assert run_cli(["eval", "--model", str(model_path), "--data", str(subset),
+                        "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 40
+        assert payload["max"]["error"] == payload["nn_cosine"]["error"] == 0.0
+        for ln, summary in zip(per_class, payload["classes"]):
+            assert summary == {
+                "label": ln["label"], "termination": ln["termination"],
+                "iterations": ln["iterations"], "evaluations": ln["evaluations"],
+                "grad_inf_norm": ln["grad_inf_norm"], "duality_gap": ln["gap"],
+                "max_violation": ln["max_violation"],
+            }
+
+    def test_version_1_model_scores_labels_1_to_c(self, trained, tmp_path, capsys):
+        data, model_path = trained
+        blob = model_path.read_bytes()
+        model = load_model(model_path)
+        # A version 1 file is the version 2 layout without the class labels
+        # and summaries that precede the CRC32.
+        payload = b"DQML" + struct.pack("<I", 1) + blob[8 : -4 - 44 * model.class_count]
+        v1 = tmp_path / "v1.dqml"
+        v1.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", str(v1), "--data", str(data), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["classes"] == [{"label": 1}, {"label": 2}]
+        assert payload["max"]["error"] <= 0.25
+
+    def test_invalid_utf8_after_valid_rows_is_usage_error(self, trained, tmp_path, capsys):
+        _, model_path = trained
+        data = tmp_path / "late.csv"
+        data.write_bytes(b"1,0.5,0.5,0.5\n2,1.5,1.5,1.5\n1,\xff0.5,0.5,0.5\n")
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", str(model_path), "--data", str(data)]) == 2
+        assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
 
     def test_corrupt_model_is_usage_error(self, trained, tmp_path):
         data, model_path = trained

@@ -1,6 +1,7 @@
 """Dataset ingestion tests: CSV parsing and relabeling, the PGM reader and
 bilinear resize, synthetic generators, and the split protocol."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,12 +33,21 @@ CSV_EDGE_VALUES = [
 class TestCsv:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
-        for text in ("1,0.5,0.5\n2,1,0\n", " 1 , 0.5,\t0.5 \n\n \t \n2,1 ,0\n"):
-            p.write_text(text)
+        texts = [
+            "1,0.5,0.5\n2,1,0\n",
+            " 1 , 0.5,\t0.5 \n\n \t \n2,1 ,0\n",
+            "1,0.5,0.5\r\n2,1,0\r\n",
+            # Blank, space-only and tab-only lines before, between and after.
+            "\n  \n\t\n1,0.5,0.5\n \t\n\n2,1,0\n\t\n  \n\n",
+            "\r\n \r\n1,0.5,0.5\r\n\t\r\n2,1,0\r\n  \r\n",
+        ]
+        for text in texts:
+            p.write_bytes(text.encode())
             ds, relabel = load_csv(p)
             assert ds.n == 2 and ds.dim == 2 and ds.class_count == 2
             assert relabel == {1: 1, 2: 2}
-            assert ds.samples.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+            assert np.array_equal(ds.samples, [[0.5, 0.5], [1.0, 0.0]])
+            assert np.array_equal(ds.labels, [1, 2])
 
     def test_relabeling_follows_sorted_order(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -136,18 +146,41 @@ class TestCsv:
 
     def test_non_utf8_file_is_refused(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_bytes(b"\xff\xfe" + "1,0.5\n2,1.5\n".encode("utf-16-le"))
-        with pytest.raises(InvalidInputError, match=r"d\.csv: not UTF-8 text"):
-            load_csv(p)
+        # Bad bytes at the start, and in the third row after two valid ones:
+        # the rows are decoded while numpy parses them.
+        for blob in (
+            b"\xff\xfe" + "1,0.5\n2,1.5\n".encode("utf-16-le"),
+            b"1,0.5\n2,1.5\n1,\xff0.5\n" + b"2,1.5\n" * 5000,
+        ):
+            p.write_bytes(blob)
+            with pytest.raises(InvalidInputError, match=r"d\.csv: not UTF-8 text"):
+                load_csv(p)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_text("2,0.5\n1,1.5\n")
-        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        (ds, relabel), (ds_plain, relabel_plain) = load_csv(marked), load_csv(plain)
-        assert np.array_equal(ds.samples, ds_plain.samples)
-        assert np.array_equal(ds.labels, ds_plain.labels)
-        assert relabel == relabel_plain == {1: 1, 2: 2}
+        ds_plain, relabel_plain = load_csv(plain)
+        crlf = b"2,0.5\r\n1,1.5\r\n"
+        for body in (plain.read_bytes(), crlf, b"\r\n \t\r\n" + crlf):
+            marked.write_bytes(b"\xef\xbb\xbf" + body)
+            ds, relabel = load_csv(marked)
+            assert np.array_equal(ds.samples, ds_plain.samples)
+            assert np.array_equal(ds.labels, ds_plain.labels)
+            assert relabel == relabel_plain == {1: 1, 2: 2}
+
+    def test_rows_stream_into_the_parser(self, tmp_path):
+        # 21,000 rows at m=10 (the classify-bulk file): the table is 1.8 MB.
+        # Reading the whole text and a list of its lines first peaked at 9.3 MiB.
+        p = tmp_path / "d.csv"
+        save_csv(generate_synthetic(SynthSpec(3, 10, 7000, 6.0, 1.0, seed=1)), p)
+        tracemalloc.start()
+        try:
+            ds, _ = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 21_000
+        assert peak <= 6 * 2**20
 
     def test_round_trip_and_stable_bytes(self, tmp_path):
         synthetic = generate_synthetic(

@@ -4,6 +4,7 @@ classification rules, cross-validation, and the model file round trip."""
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,9 +68,12 @@ class TestDataset:
         ds = toy_dataset()
         assert ds.n == 2 and ds.dim == 2 and ds.class_count == 2
 
-    def test_rejects_gap_in_labels(self):
-        with pytest.raises(InvalidInputError, match="missing"):
-            Dataset(np.zeros((2, 2)), np.array([1, 3]))
+    def test_accepts_missing_classes(self):
+        # A test set may lack a class; training on it is refused, naming it.
+        ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 3]))
+        assert ds.class_count == 3
+        with pytest.raises(InvalidInputError, match="class 2 has no training sample"):
+            train_model_set(ds, lam=1.0)
 
     def test_rejects_zero_label(self):
         with pytest.raises(InvalidInputError, match="positive"):
@@ -438,7 +442,7 @@ class TestModelFile:
         return train_model_set(gaussian_dataset(seed=4, per_class=5), lam=0.3)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        model = self.trained()
+        model = replace(self.trained(), class_labels=(3, 7, 10))
         path = tmp_path / "model.dqml"
         save_model(model, path)
         loaded = load_model(path)
@@ -450,6 +454,15 @@ class TestModelFile:
         assert np.array_equal(loaded.training_labels, model.training_labels)
         assert loaded.matrices[0].report is None
         assert loaded.matrices[0].dual is None
+        assert loaded.class_labels == (3, 7, 10)
+        assert loaded.summaries == model.summaries
+        assert [(s["termination"], s["evaluations"]) for s in loaded.summaries] == [
+            (t.report.termination, t.report.objective_evals) for t in model.matrices
+        ]
+        # A model built without summaries reads back without them.
+        save_model(identity_model(), path)
+        assert load_model(path).summaries is None
+        assert load_model(path).class_labels == (1, 2)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.dqml"
@@ -525,6 +538,49 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(error, match=match):
             load_model(path)
+
+    def test_version_1_file_loads_with_labels_1_to_c(self, tmp_path):
+        model = self.trained()
+        m, c, n = model.dim, model.class_count, model.training_labels.size
+        payload = b"".join([
+            b"DQML", struct.pack("<IIId", 1, m, c, model.lam),
+            *(t.matrix.entries.astype("<f8").tobytes() for t in model.matrices),
+            struct.pack("<I", n), model.training_features.astype("<f8").tobytes(),
+            model.training_labels.astype("<u4").tobytes(),
+        ])
+        path = tmp_path / "v1.dqml"
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        loaded = load_model(path)
+        assert loaded.class_labels == (1, 2, 3)
+        assert loaded.summaries is None
+        for a, b in zip(model.matrices, loaded.matrices):
+            assert np.array_equal(a.matrix.entries, b.matrix.entries)
+        assert np.array_equal(loaded.training_features, model.training_features)
+        assert np.array_equal(loaded.training_labels, model.training_labels)
+        path.write_bytes(payload[:-4] + struct.pack("<I", zlib.crc32(payload[:-4])))
+        with pytest.raises(ModelTruncatedError):
+            load_model(path)
+
+    def test_unknown_termination_code(self, tmp_path):
+        model = self.trained()
+        path = tmp_path / "m.dqml"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        # The last class summary's termination code sits 36 bytes before the CRC32.
+        struct.pack_into("<I", blob, len(blob) - 4 - 36, 4)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="termination code"):
+            load_model(path)
+
+    def test_class_labels_are_checked(self):
+        model = identity_model()
+        args = (model.matrices, 1.0, model.training_features, model.training_labels)
+        for labels in ((3, 3), (1,), (0, 1)):
+            with pytest.raises(InvalidInputError, match="class labels"):
+                ModelSet(*args, labels)
+        with pytest.raises(InvalidInputError, match="solve summaries"):
+            ModelSet(*args, (1, 2), ({},))
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "m.dqml"
