@@ -177,8 +177,8 @@ class SolveReport(KktReport):
     including a last one whose line search failed. ``objective_evals``
     counts the points evaluated: the start and the line-search trials that
     were evaluated, not those rejected unevaluated. ``eig_calls`` counts
-    the eigendecompositions made meanwhile, one per evaluation; the one
-    of P behind ``min_eigenvalue`` is not counted. ``seconds`` is the
+    the solving thread's eigendecompositions meanwhile, one per evaluation;
+    the one of P behind ``min_eigenvalue`` is not counted. ``seconds`` is the
     solve's wall time; it differs between equal runs, so reports compare
     equal without it.
     """

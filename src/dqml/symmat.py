@@ -7,6 +7,7 @@ immutable values; heavy lifting is delegated to LAPACK via numpy.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,14 @@ EIGENVALUE_CLAMP_RTOL = 1e-10
 # Absolute floor on the minimum eigenvalue for PSD certification.
 PSD_CERT_TOL = 1e-8
 
-_EIG_CALLS = 0
+# One count per thread, so a difference of two readings counts only the
+# calling thread's decompositions, whatever other threads do meanwhile.
+_EIG_CALLS = threading.local()
 
 
 def eig_call_count() -> int:
-    """Number of dense eigendecompositions performed in this process.
-
-    The count is process-wide: a difference of two readings, such as
-    ``SolveReport.eig_calls``, is exact only when no other eigendecomposition
-    runs between them, i.e. when solves do not run concurrently.
-    """
-    return _EIG_CALLS
+    """Number of dense eigendecompositions performed by the calling thread."""
+    return getattr(_EIG_CALLS, "n", 0)
 
 
 @dataclass(frozen=True)
@@ -67,35 +65,26 @@ class SymmetricMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
-
-    Column k of ``eigenvectors`` pairs with ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _eigh_descending(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counted eigendecomposition of a raw array, eigenvalues descending."""
-    global _EIG_CALLS
-    _EIG_CALLS += 1
+    _EIG_CALLS.n = eig_call_count() + 1
     w, v = np.linalg.eigh(arr)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _checked_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_eigh_descending of an array that must have only finite entries."""
     if not np.isfinite(arr).all():
         raise InvalidInputError("matrix has non-finite entries")
+    return _eigh_descending(arr)
 
 
-def eigen_decompose(a: SymmetricMatrix) -> EigenDecomposition:
-    """Full eigendecomposition A = V diag(w) V^T with w sorted descending."""
-    _check_finite(a.entries)
-    w, v = _eigh_descending(a.entries)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+def eigen_decompose(a: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition A = V diag(w) V^T as the pair (w, V).
+
+    w is sorted descending, and column k of V pairs with w[k].
+    """
+    return _checked_eigh(a.entries)
 
 
 def _clamped_part(w: np.ndarray, negative: bool) -> np.ndarray:
@@ -110,8 +99,7 @@ def _clamped_part(w: np.ndarray, negative: bool) -> np.ndarray:
 
 def _spectral_part(arr: np.ndarray, negative: bool) -> np.ndarray:
     """Positive or negative spectral part of a raw symmetric array."""
-    _check_finite(arr)
-    w, v = _eigh_descending(arr)
+    w, v = _checked_eigh(arr)
     r = (v * _clamped_part(w, negative)) @ v.T
     return (r + r.T) / 2.0
 
@@ -149,6 +137,5 @@ def frobenius_norm(a: SymmetricMatrix) -> float:
 
 def min_eigenvalue(a: SymmetricMatrix) -> float:
     """Smallest eigenvalue; A is certified PSD iff the result >= -PSD_CERT_TOL."""
-    _check_finite(a.entries)
-    w, _ = _eigh_descending(a.entries)
+    w, _ = _checked_eigh(a.entries)
     return float(w[-1])

@@ -561,6 +561,36 @@ class TestModelFile:
         with pytest.raises(ModelTruncatedError):
             load_model(path)
 
+    @pytest.mark.parametrize("with_summaries", [True, False], ids=["summaries", "none"])
+    def test_version_2_bytes_match_the_layout(self, tmp_path, with_summaries):
+        model = replace(self.trained(), class_labels=(3, 7, 10), summaries=None)
+        # (termination, its code, iterations, evaluations, grad_inf_norm,
+        # duality_gap, max_violation) of each class.
+        rows = [("converged", 1, 17, 21, 3e-8, -1.5e-9, 0.0),
+                ("max_iterations", 2, 500, 1234, 2.5e-3, 4e-4, 1e-6),
+                ("line_search_failed", 3, 88, 301, 1e-5, 2e-7, 3.25e-9)]
+        summary_bytes = bytes(36 * 3)  # no summaries: an all-zero block
+        if with_summaries:
+            names = ("termination", "iterations", "evaluations",
+                     "grad_inf_norm", "duality_gap", "max_violation")
+            summaries = tuple(dict(zip(names, (r[0], *r[2:]))) for r in rows)
+            model = replace(model, summaries=summaries)
+            summary_bytes = b"".join(
+                struct.pack("<III", *r[1:4]) + struct.pack("<ddd", *r[4:]) for r in rows
+            )
+        m, c, n = model.dim, model.class_count, model.training_labels.size
+        payload = b"".join([
+            b"DQML", struct.pack("<IIId", 2, m, c, model.lam),
+            *(t.matrix.entries.astype("<f8").tobytes() for t in model.matrices),
+            struct.pack("<I", n), model.training_features.astype("<f8").tobytes(),
+            model.training_labels.astype("<u4").tobytes(),
+            struct.pack("<3q", 3, 7, 10), summary_bytes,
+        ])
+        path = tmp_path / "v2.dqml"
+        save_model(model, path)
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+        assert load_model(path).summaries == model.summaries
+
     def test_unknown_termination_code(self, tmp_path):
         model = self.trained()
         path = tmp_path / "m.dqml"

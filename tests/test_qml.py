@@ -3,7 +3,9 @@ optimality certificates, and structural invariants."""
 
 import dataclasses
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,6 +214,25 @@ class TestSolver:
         trained = solve_dual(prob)
         assert trained.report.eig_calls == trained.report.objective_evals
         assert trained.report.objective_evals >= trained.report.iterations + 1
+
+    def test_concurrent_solves_count_their_own_eigendecompositions(self):
+        # Two solves start together in two threads; each report counts only
+        # the decompositions of its own thread.
+        barrier = threading.Barrier(2)
+
+        def solve(prob):
+            barrier.wait(timeout=60)
+            return solve_dual(prob).report
+
+        rng = np.random.default_rng(30)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(5):
+                probs = [
+                    random_class_problem(rng, dim=30, n_intra=60, n_extra=120)
+                    for _ in range(2)
+                ]
+                for rep in pool.map(solve, probs, timeout=120):
+                    assert rep.eig_calls == rep.objective_evals
 
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """Symmetric-matrix algebra: hand-checked values plus algebraic properties."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dqml.qml import assemble_m, dual_objective, random_class_problem
 from dqml.symmat import (
     EIGENVALUE_CLAMP_RTOL,
     PSD_CERT_TOL,
-    EigenDecomposition,
     SymmetricMatrix,
     _clamped_part,
     eig_call_count,
@@ -81,8 +81,9 @@ class TestConstruction:
 
 class TestHandChecked:
     def test_eigen_decompose_diagonal(self):
-        dec = eigen_decompose(sym([[1.0, 0.0], [0.0, 3.0]]))
-        assert np.allclose(dec.eigenvalues, [3.0, 1.0])
+        w, v = eigen_decompose(sym([[1.0, 0.0], [0.0, 3.0]]))
+        assert np.allclose(w, [3.0, 1.0])
+        assert np.allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_positive_part_diagonal(self):
         p = positive_part(sym([[1.0, 0.0], [0.0, -2.0]]))
@@ -116,8 +117,7 @@ class TestProperties:
     @given(symmetric_matrices())
     @settings(max_examples=150)
     def test_decomposition_reconstructs(self, a):
-        dec = eigen_decompose(a)
-        w, v = dec.eigenvalues, dec.eigenvectors
+        w, v = eigen_decompose(a)
         assert np.all(np.diff(w) <= 1e-12)
         assert np.allclose(v.T @ v, np.eye(a.dim), atol=1e-10)
         assert np.allclose((v * w) @ v.T, a.entries, atol=1e-9)
@@ -178,6 +178,27 @@ def test_eig_counter_tracks_decompositions():
     assert eig_call_count() - before == 4
 
 
+def test_eig_counter_is_per_thread():
+    a = sym([[1.0, 0.0], [0.0, -1.0]])
+    eigen_decompose(a)  # so a count shared between threads would not read 0
+    before = eig_call_count()
+    seen = []
+
+    def other():
+        seen.append(eig_call_count())
+        eigen_decompose(a)
+        min_eigenvalue(a)
+        seen.append(eig_call_count())
+
+    t = threading.Thread(target=other)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    # A new thread starts at 0, and its calls leave this thread's count alone.
+    assert seen == [0, 2]
+    assert eig_call_count() == before
+
+
 def _layout(x, order):
     if order == "C":
         return np.ascontiguousarray(x)
@@ -207,11 +228,6 @@ def test_quad_forms_matches_the_triple_sum(shape, order):
     if n > 1:
         assert got[n // 2] == 0.0
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-def test_decomposition_dataclass_fields():
-    dec = EigenDecomposition(eigenvalues=np.array([1.0]), eigenvectors=np.eye(1))
-    assert dec.eigenvalues.shape == (1,)
 
 
 def _parts_by_definition(w):
