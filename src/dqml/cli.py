@@ -199,6 +199,12 @@ def _cv_folds(args) -> int:
     return args.folds or 10
 
 
+def _cv_rows(table) -> list[dict]:
+    """One JSON object per grid value of a cross_validate_lambda table."""
+    return [{"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
+             "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table]
+
+
 def cmd_train(args) -> int:
     folds = _cv_folds(args)
     ds, relabel = load_csv(args.data)
@@ -208,7 +214,7 @@ def cmd_train(args) -> int:
         lam, table = cross_validate_lambda(ds, args.lam, folds=folds)
         print(json.dumps({
             "selected_lambda": lam,
-            "cv": [{"lambda": e.lam, "mean_error": e.mean_error} for e in table],
+            "cv": _cv_rows(table),
         }))
 
     model = replace(train_model_set(ds, lam), class_labels=tuple(relabel))
@@ -278,12 +284,13 @@ def cmd_protocol(args) -> int:
     ds, _ = load_csv(args.data)
     spec = SplitSpec(per_class_train=args.m_train, seed=args.seed)
     errors = {"max": [], "nn_cosine": []}
-    lambdas = []
+    lambdas, cv_tables = [], []
     for r in range(args.reps):
         train_ds, test_ds = split_random(ds, spec, r)
         lam = args.lam[0]
         if len(args.lam) > 1:
-            lam, _ = cross_validate_lambda(train_ds, args.lam, folds=folds, seed=args.seed)
+            lam, table = cross_validate_lambda(train_ds, args.lam, folds=folds, seed=args.seed)
+            cv_tables.append(_cv_rows(table))
         lambdas.append(lam)
         model = train_model_set(train_ds, lam)
         for rule in ("max", "nn_cosine"):
@@ -294,7 +301,8 @@ def cmd_protocol(args) -> int:
     }
     if args.json:
         print(json.dumps({
-            "mode": "protocol", "reps": args.reps, "lambdas": lambdas, **summary
+            "mode": "protocol", "reps": args.reps, "lambdas": lambdas,
+            "cv": cv_tables if len(args.lam) > 1 else None, **summary
         }))
     else:
         print(f"protocol: {args.reps} repetitions, {args.m_train} per class to train")

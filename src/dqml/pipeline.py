@@ -8,7 +8,9 @@ directly or runs cosine nearest-neighbor against the training features.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 import zlib
 from dataclasses import dataclass
 
@@ -303,9 +305,15 @@ def evaluate(model: ModelSet, test: Dataset, rule: str) -> EvaluationResult:
 
 @dataclass(frozen=True)
 class CvEntry:
+    """One grid value's validation errors, with how its fold solves ended:
+    unconverged counts the class solves of all folds that did not converge,
+    and worst_grad_inf_norm is the largest final gradient among them all."""
+
     lam: float
     mean_error: float
     fold_errors: tuple[float, ...]
+    unconverged: int
+    worst_grad_inf_norm: float
 
 
 def _stratified_folds(ds: Dataset, folds: int, seed: int) -> list[np.ndarray]:
@@ -358,12 +366,13 @@ def cross_validate_lambda(
     fold_sets = _stratified_folds(ds, folds, seed)
     entries = []
     for lam in grid:
-        fold_errors = []
+        fold_errors, reports = [], []
         for val_idx in fold_sets:
             train_mask = np.ones(ds.n, dtype=bool)
             train_mask[val_idx] = False
             train_ds = Dataset(ds.samples[train_mask], ds.labels[train_mask])
             model = train_model_set(train_ds, lam)
+            reports.extend(t.report for t in model.matrices)
             pred = _nn_cosine_labels(
                 _feature_matrix(model.matrices, ds.samples[val_idx]), model
             )
@@ -374,6 +383,8 @@ def cross_validate_lambda(
                 lam=lam,
                 mean_error=float(np.mean(fold_errors)),
                 fold_errors=tuple(fold_errors),
+                unconverged=sum(not r.converged for r in reports),
+                worst_grad_inf_norm=max(r.grad_inf_norm for r in reports),
             )
         )
     best = min(entries, key=lambda e: (e.mean_error, e.lam))
@@ -381,7 +392,11 @@ def cross_validate_lambda(
 
 
 def save_model(model: ModelSet, path) -> None:
-    """Write the binary model file (see load_model for the layout)."""
+    """Write the binary model file (see load_model for the layout).
+
+    The file is replaced in one step, so readers see the old model or the
+    new one, never a part.
+    """
     m = model.dim
     c = model.class_count
     n = model.training_labels.shape[0]
@@ -402,9 +417,18 @@ def save_model(model: ModelSet, path) -> None:
     parts.append(summary.tobytes())
     payload = b"".join(parts)
     checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", checksum))
+    # A fresh file beside the target, then one rename: a write that fails
+    # midway leaves an existing model whole and removes its own file.
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
+            fh.write(struct.pack("<I", checksum))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path) -> ModelSet:

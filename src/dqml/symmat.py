@@ -3,14 +3,18 @@
 Eigendecomposition, spectral positive/negative parts, Frobenius inner
 products, and PSD certification. Everything here is a pure function of
 immutable values; heavy lifting is delegated to LAPACK via numpy.
+Decompositions call numpy's LAPACK ``syevd`` gufunc, the one
+``np.linalg.eigh`` dispatches to, without that function's Python layer.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError
 
@@ -68,7 +72,12 @@ class SymmetricMatrix:
 def _eigh_descending(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counted eigendecomposition of a raw array, eigenvalues descending."""
     _EIG_CALLS.n = eig_call_count() + 1
-    w, v = np.linalg.eigh(arr)
+    # np.linalg.eigh(arr) computes the same bits through this call. When
+    # syevd does not converge, the gufunc fills every output with NaN, and
+    # np.linalg.eigh would raise LinAlgError; so does this.
+    w, v = _umath_linalg.eigh_lo(arr, signature="d->dd")
+    if math.isnan(w[0]):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
     return w[::-1].copy(), v[:, ::-1].copy()
 
 

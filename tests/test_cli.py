@@ -22,7 +22,7 @@ from dqml.datasets import (
     split_random,
 )
 from dqml.errors import NumericalFailureError
-from dqml.pipeline import Dataset, load_model, train_model_set
+from dqml.pipeline import Dataset, cross_validate_lambda, load_model, train_model_set
 from dqml.symmat import PSD_CERT_TOL
 
 
@@ -150,8 +150,12 @@ class TestTrain:
         assert code == 0
         lines = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
         assert lines[0]["selected_lambda"] in (0.3, 3.0)
-        assert {entry["lambda"] for entry in lines[0]["cv"]} == {0.3, 3.0}
         assert lines[-1]["lambda"] == lines[0]["selected_lambda"]
+        _, table = cross_validate_lambda(load_csv(data)[0], [0.3, 3.0], folds=3)
+        assert lines[0]["cv"] == [
+            {"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
+             "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table
+        ]
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code = run_cli(["train", "--data", str(tmp_path / "nope.csv"),
@@ -277,6 +281,7 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps"] == 3
         assert payload["lambdas"] == [1.0, 1.0, 1.0]
+        assert payload["cv"] is None
         for rule in ("max", "nn_cosine"):
             assert 0.0 <= payload[rule]["mean_error"] <= 0.5
             assert payload[rule]["std_error"] >= 0.0
@@ -289,6 +294,12 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["lambdas"]) == 1
         assert all(lam in (0.1, 1.0) for lam in payload["lambdas"])
+        train, _ = split_random(load_csv(data)[0], SplitSpec(10, seed=0), 0)
+        _, table = cross_validate_lambda(train, [0.1, 1.0], folds=2, seed=0)
+        assert payload["cv"] == [[
+            {"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
+             "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table
+        ]]
         assert run_cli(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "protocol: 1 repetitions, 10 per class to train"

@@ -1,6 +1,8 @@
 """Training pipeline tests: per-class problems, feature extraction, both
 classification rules, cross-validation, and the model file round trip."""
 
+import errno
+import os
 import struct
 import tracemalloc
 import zlib
@@ -9,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dqml import pipeline
 from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
 from dqml.errors import (
     DegenerateFeatureError,
@@ -35,7 +38,7 @@ from dqml.pipeline import (
     save_model,
     train_model_set,
 )
-from dqml.qml import TrainedQuadraticMatrix
+from dqml.qml import TrainedQuadraticMatrix, solve_dual
 from dqml.symmat import SymmetricMatrix
 
 
@@ -332,6 +335,29 @@ class TestCrossValidation:
         for entry in table:
             assert len(entry.fold_errors) == 3
 
+    def test_entries_count_their_unconverged_fold_solves(self, monkeypatch):
+        # Acceptance test 8's reference split and grid, where some fold
+        # solves stop short of the tolerance.
+        ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
+        train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+        grid = (0.1, 0.3, 1.0, 3.0, 10.0)
+        log = []
+
+        def logged(problem):
+            trained = solve_dual(problem)
+            log.append((problem.lam, trained.report))
+            return trained
+
+        monkeypatch.setattr(pipeline, "solve_dual", logged)
+        _, table = cross_validate_lambda(train, grid, folds=10, seed=42)
+        assert len(log) == len(grid) * 10 * 3
+        assert [e.lam for e in table] == list(grid)
+        for entry in table:
+            reports = [r for lam, r in log if lam == entry.lam]
+            assert len(reports) == 30
+            assert entry.unconverged == sum(not r.converged for r in reports)
+            assert entry.worst_grad_inf_norm == max(r.grad_inf_norm for r in reports)
+
 
 class TestEvaluate:
     def test_perfect_on_training_set(self):
@@ -463,6 +489,38 @@ class TestModelFile:
         save_model(identity_model(), path)
         assert load_model(path).summaries is None
         assert load_model(path).class_labels == (1, 2)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.dqml"
+        save_model(identity_model(), path)
+        old = path.read_bytes()
+
+        class HalfWriter:
+            """A file whose first write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pipeline, "open", lambda *a: HalfWriter(open(*a)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(self.trained(), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        save_model(self.trained(), path)
+        assert path.read_bytes() != old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.dqml"

@@ -2,6 +2,8 @@
 
 import math
 import threading
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dqml.errors import InvalidInputError
-from dqml.qml import assemble_m, dual_objective, random_class_problem
+from dqml import symmat
+from dqml.errors import InvalidInputError, NumericalFailureError
+from dqml.qml import assemble_m, dual_objective, random_class_problem, solve_dual
 from dqml.symmat import (
     EIGENVALUE_CLAMP_RTOL,
     PSD_CERT_TOL,
     SymmetricMatrix,
     _clamped_part,
+    _eigh_descending,
     eig_call_count,
     eigen_decompose,
     frobenius_norm,
@@ -197,6 +201,79 @@ def test_eig_counter_is_per_thread():
     # A new thread starts at 0, and its calls leave this thread's count alone.
     assert seen == [0, 2]
     assert eig_call_count() == before
+
+
+def _eigh_case(kind, m):
+    rng = np.random.default_rng([m, len(kind)])
+    b = rng.normal(size=(m, m))
+    random = (b + b.T) / 2.0
+    return {
+        "random": random,
+        "identity": np.eye(m),
+        "zeros": np.zeros((m, m)),
+        # Every eigenvalue but possibly one is tied with another.
+        "diagonal-ties": np.diag(np.resize([2.0, -1.0, 2.0, 0.0, -1.0], m)),
+        "scaled-1e300": 1e300 * random,
+        "scaled-1e-300": 1e-300 * random,
+    }[kind]
+
+
+class TestDirectEigh:
+    """symmat calls numpy's LAPACK syevd gufunc itself, without the Python
+    layer of np.linalg.eigh. These tests pin that the private gufunc is
+    still there, is still what np.linalg.eigh uses, and gives its bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 64])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random", "identity", "zeros", "diagonal-ties", "scaled-1e300", "scaled-1e-300"],
+    )
+    def test_matches_numpy_eigh_reversed(self, kind, m):
+        a = _eigh_case(kind, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = _eigh_descending(a)
+        want_w, want_v = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w[::-1])
+        assert np.array_equal(v, want_v[:, ::-1])
+        # Contiguous copies, not views of the gufunc's output.
+        assert w.flags.c_contiguous and v.flags.c_contiguous
+
+    def test_numpy_eigh_dispatches_to_the_same_gufunc(self, monkeypatch):
+        gufunc = np.linalg._umath_linalg.eigh_lo
+        assert symmat._umath_linalg is np.linalg._umath_linalg
+        assert gufunc.signature == "(m,m)->(m),(m,m)"
+        assert "d->dd" in gufunc.types
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return gufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", spy)
+        np.linalg.eigh(np.eye(3))
+        _eigh_descending(np.eye(3))
+        assert calls == [{"signature": "d->dd"}] * 2
+
+    def test_each_call_counts_once(self):
+        a = _eigh_case("random", 10)
+        for k in range(1, 4):
+            before = eig_call_count()
+            for _ in range(k):
+                _eigh_descending(a)
+            assert eig_call_count() - before == k
+
+    def test_nan_output_is_a_numerical_failure(self, monkeypatch):
+        def nan_eigh(arr, signature):
+            assert signature == "d->dd"
+            return np.full(arr.shape[:1], np.nan), np.full(arr.shape, np.nan)
+
+        monkeypatch.setattr(symmat, "_umath_linalg", types.SimpleNamespace(eigh_lo=nan_eigh))
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen_decompose(sym([[1.0, 0.0], [0.0, 2.0]]))
+        prob = random_class_problem(np.random.default_rng(3), dim=4, n_intra=5, n_extra=8)
+        with pytest.raises(NumericalFailureError, match="eigendecomposition of M"):
+            solve_dual(prob)
 
 
 def _layout(x, order):
