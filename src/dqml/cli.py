@@ -35,7 +35,6 @@ from .errors import (
     InvalidInputError,
     ModelIOError,
     NumericalFailureError,
-    UnboundedProblemError,
 )
 from .oracle import solve_primal_grid, solve_primal_penalty
 from .pipeline import (
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     except (InvalidInputError, ModelIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleProblemError, UnboundedProblemError) as exc:
+    except InfeasibleProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalFailureError as exc:

@@ -15,7 +15,7 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .errors import InvalidInputError
-from .pipeline import Dataset
+from .pipeline import Dataset, _replace_file
 
 RASTER_SIZE = (32, 32)
 _LABEL_MAX = int(np.iinfo(np.int64).max)  # labels are parsed as int64
@@ -167,26 +167,23 @@ def save_csv(ds: Dataset, path) -> None:
     bytes do not depend on the numpy version. Rows are converted to Python
     floats one block at a time with ``tolist()``. The block holds about 1024
     values whatever the dimension, so the temporary lists and text stay a few
-    tens of kilobytes on wide data as on narrow.
+    tens of kilobytes on wide data as on narrow. The file is replaced in one
+    step, as save_model replaces a model.
     """
     block = max(1, 1024 // ds.dim)
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, ds.n, block):
-            stop = start + block
-            labels = ds.labels[start:stop].tolist()
-            rows = ds.samples[start:stop].tolist()
-            fh.write("".join(
-                f"{label},{','.join(map(repr, row))}\n"
-                for label, row in zip(labels, rows)
-            ))
+    _replace_file(path, (
+        "".join(f"{label},{','.join(map(repr, row))}\n"
+                for label, row in zip(ds.labels[s:s + block].tolist(),
+                                      ds.samples[s:s + block].tolist())).encode()
+        for s in range(0, ds.n, block)
+    ))
 
 
 def write_sidecar(csv_path, entries: dict) -> Path:
-    """Write dataset metadata next to a CSV as simple ``key: value`` lines."""
+    """Write dataset metadata next to a CSV as ``key: value`` lines, replaced in one step."""
     sidecar = Path(str(csv_path) + ".meta")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}: {value}\n")
+    text = "".join(f"{key}: {value}\n" for key, value in entries.items())
+    _replace_file(sidecar, [text.encode()])
     return sidecar
 
 

@@ -416,14 +416,17 @@ def save_model(model: ModelSet, path) -> None:
         summary[i] = (_TERMINATIONS.index(s["termination"]), *(s[k] for k in _SUMMARY.names[1:]))
     parts.append(summary.tobytes())
     payload = b"".join(parts)
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    # A fresh file beside the target, then one rename: a write that fails
-    # midway leaves an existing model whole and removes its own file.
+    _replace_file(path, (payload, struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)))
+
+
+def _replace_file(path, chunks) -> None:
+    """Write the byte chunks to path via a fresh file beside it and one rename,
+    so a failed write leaves an existing file whole and removes its own file."""
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(payload)
-            fh.write(struct.pack("<I", checksum))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

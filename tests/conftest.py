@@ -1,4 +1,5 @@
-"""Shared fixtures: verdict reporting for the acceptance gate.
+"""Shared test code: verdict reporting for the acceptance gate, and the
+reference training set that several suites solve (``reference_train``).
 
 Acceptance tests record one PASS/FAIL line each through the ``verdict``
 fixture; the lines are replayed in a terminal-summary section so they stay
@@ -6,6 +7,8 @@ visible under output capture.
 """
 
 import pytest
+
+from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
 
 _verdicts = []
 
@@ -25,3 +28,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in _verdicts:
             terminalreporter.write_line(line)
+
+
+def reference_train(classes=3, dim=10):
+    """Acceptance test 8's reference training set: split 0 (20 per class,
+    seed 42) of its synthetic data (70 per class, sep 6, sigma 1, seed 42).
+    ``reference_train(10, 64)`` is the wide-classes benchmark's sibling."""
+    ds = generate_synthetic(SynthSpec(classes, dim, 70, 6.0, 1.0, seed=42))
+    return split_random(ds, SplitSpec(20, seed=42), 0)[0]

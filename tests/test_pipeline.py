@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dqml import pipeline
-from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
+from dqml.datasets import SynthSpec, generate_synthetic, save_csv, write_sidecar
 from dqml.errors import (
     DegenerateFeatureError,
     InfeasibleProblemError,
@@ -41,6 +41,8 @@ from dqml.pipeline import (
 from dqml.qml import TrainedQuadraticMatrix, solve_dual
 from dqml.symmat import SymmetricMatrix
 
+from conftest import reference_train
+
 
 def toy_dataset():
     return Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 2]))
@@ -64,6 +66,18 @@ def identity_model(classes=2, dim=2):
     )
     feats = np.eye(classes) + 0.5
     return ModelSet(mats, 1.0, feats, np.arange(1, classes + 1))
+
+
+def write_version(writer, path, version):
+    """Write version 0 or 1 of a file with one of dqml's writers; return its path."""
+    if writer == "save_model":
+        model = identity_model() if version == 0 else train_model_set(toy_dataset(), lam=0.3)
+        save_model(model, path)
+    elif writer == "save_csv":
+        save_csv(gaussian_dataset(seed=version, per_class=200), path)
+    else:
+        return write_sidecar(path, {"seed": version, "classes": 3})
+    return path
 
 
 class TestDataset:
@@ -163,9 +177,7 @@ class TestTrainModelSet:
     )
     def test_converges_on_acceptance_8_reference_split(self):
         # Repetition 0 of acceptance test 8's data at the grid's largest lambda.
-        ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
-        train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
-        model = train_model_set(train, lam=10.0)
+        model = train_model_set(reference_train(), lam=10.0)
         assert [t.report.converged for t in model.matrices] == [True] * 3
 
 
@@ -338,8 +350,7 @@ class TestCrossValidation:
     def test_entries_count_their_unconverged_fold_solves(self, monkeypatch):
         # Acceptance test 8's reference split and grid, where some fold
         # solves stop short of the tolerance.
-        ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
-        train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+        train = reference_train()
         grid = (0.1, 0.3, 1.0, 3.0, 10.0)
         log = []
 
@@ -490,10 +501,10 @@ class TestModelFile:
         assert load_model(path).summaries is None
         assert load_model(path).class_labels == (1, 2)
 
-    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.dqml"
-        save_model(identity_model(), path)
-        old = path.read_bytes()
+    @pytest.mark.parametrize("writer", ["save_model", "save_csv", "write_sidecar"])
+    def test_failed_write_keeps_the_old_file(self, writer, tmp_path, monkeypatch):
+        target = write_version(writer, tmp_path / "f", 0)
+        old = target.read_bytes()
 
         class HalfWriter:
             """A file whose first write stores half its bytes, then fails."""
@@ -514,13 +525,13 @@ class TestModelFile:
 
         monkeypatch.setattr(pipeline, "open", lambda *a: HalfWriter(open(*a)), raising=False)
         with pytest.raises(OSError, match="No space left"):
-            save_model(self.trained(), path)
-        assert path.read_bytes() == old
-        assert list(tmp_path.iterdir()) == [path]
+            write_version(writer, tmp_path / "f", 1)
+        assert target.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [target]
         monkeypatch.undo()
-        save_model(self.trained(), path)
-        assert path.read_bytes() != old
-        assert list(tmp_path.iterdir()) == [path]
+        write_version(writer, tmp_path / "f", 1)
+        assert target.read_bytes() != old
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.dqml"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqml import qml
-from dqml.datasets import SplitSpec, SynthSpec, generate_synthetic, split_random
 from dqml.errors import InfeasibleProblemError, InvalidInputError
 from dqml.pipeline import build_class_problem
 from dqml.qml import (
@@ -32,6 +31,8 @@ from dqml.qml import (
     solve_dual,
 )
 from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, negative_part
+
+from conftest import reference_train
 
 EPS = float(np.finfo(float).eps)
 
@@ -295,16 +296,13 @@ class TestSolver:
 
 def reference_split_problems(lam):
     """The three class problems of acceptance test 8's reference split."""
-    ds = generate_synthetic(SynthSpec(3, 10, 70, 6.0, 1.0, seed=42))
-    train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
-    return [build_class_problem(train, c, lam) for c in (1, 2, 3)]
+    return [build_class_problem(reference_train(), c, lam) for c in (1, 2, 3)]
 
 
 def wide_classes_problems(lam, classes=(1, 2, 3)):
     """Class problems of the wide-classes benchmark's training set: 10
     classes at m=64, unnormalised samples, 20 per class."""
-    ds = generate_synthetic(SynthSpec(10, 64, 70, 6.0, 1.0, seed=42))
-    train, _ = split_random(ds, SplitSpec(20, seed=42), 0)
+    train = reference_train(10, 64)
     return [build_class_problem(train, c, lam) for c in classes]
 
 
