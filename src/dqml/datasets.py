@@ -334,17 +334,15 @@ def split_random(
     originals is preserved within each side of the split.
     """
     k = spec.per_class_train
-    for c in range(1, ds.class_count + 1):
-        count = int(np.sum(ds.labels == c))
-        if count <= k:
-            raise InvalidInputError(
-                f"class {c} has {count} samples; need more than {k} to split"
-            )
     rng = np.random.default_rng([spec.seed, repetition])
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for c in range(1, ds.class_count + 1):
         idx = np.flatnonzero(ds.labels == c)
+        if idx.size <= k:
+            raise InvalidInputError(
+                f"class {c} has {idx.size} samples; need more than {k} to split"
+            )
         perm = rng.permutation(idx.size)
         train_idx.append(idx[perm[:k]])
         test_idx.append(idx[perm[k:]])

@@ -145,10 +145,11 @@ class ModelSet:
             raise InvalidInputError("training labels out of class range")
         c = len(self.matrices)
         labels = tuple(int(v) for v in self.class_labels or range(1, c + 1))
-        if not len(set(labels)) == len(labels) == c or min(labels) < 1:
-            raise InvalidInputError(f"class labels must be {c} distinct positive integers")
+        if not len(set(labels)) == len(labels) == c or min(labels) < 1 or max(labels) >= 2**63:
+            raise InvalidInputError(f"class labels must be {c} distinct integers in 1..2**63-1")
         if self.summaries is not None and len(self.summaries) != c:
             raise InvalidInputError(f"a model of {c} classes needs {c} solve summaries")
+        _summary_rows(self.summaries, c)
         f.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -316,22 +317,17 @@ class CvEntry:
     worst_grad_inf_norm: float
 
 
-def _stratified_folds(ds: Dataset, folds: int, seed: int) -> list[np.ndarray]:
-    """Validation index sets, class-stratified.
-
-    Classes with fewer samples than folds stay in every training fold and
-    are never validated on; their samples appear in no validation set.
-    """
+def _stratified_folds(ds: Dataset, folds: int, seed: int) -> np.ndarray:
+    """The validation fold (0..folds-1, class-stratified) of each sample, or -1
+    for the samples of a class smaller than folds: such a class stays in every
+    training fold and is never validated on."""
     rng = np.random.default_rng(seed)
-    assignments: list[list[int]] = [[] for _ in range(folds)]
+    fold = np.full(ds.n, -1, dtype=np.int64)
     for c in range(1, ds.class_count + 1):
         idx = np.flatnonzero(ds.labels == c)
-        if idx.size < folds:
-            continue
-        perm = idx[rng.permutation(idx.size)]
-        for j in range(folds):
-            assignments[j].extend(perm[j::folds].tolist())
-    return [np.array(sorted(a), dtype=np.int64) for a in assignments]
+        if idx.size >= folds:
+            fold[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
+    return fold
 
 
 def cross_validate_lambda(
@@ -356,28 +352,24 @@ def cross_validate_lambda(
     if folds < 2:
         raise InvalidInputError("folds must be at least 2")
 
-    # Checked before _stratified_folds allocates one list per fold. When some
-    # class has at least `folds` samples, every fold gets a validation sample.
+    # Checked before the fold loop, which a huge count would never end. When
+    # some class has at least `folds` samples, every fold gets a validation sample.
     if folds > np.bincount(ds.labels).max():
         raise InvalidInputError(
             f"no class has at least {folds} samples; nothing can be validated"
         )
 
-    fold_sets = _stratified_folds(ds, folds, seed)
+    fold = _stratified_folds(ds, folds, seed)
     entries = []
     for lam in grid:
         fold_errors, reports = [], []
-        for val_idx in fold_sets:
-            train_mask = np.ones(ds.n, dtype=bool)
-            train_mask[val_idx] = False
-            train_ds = Dataset(ds.samples[train_mask], ds.labels[train_mask])
-            model = train_model_set(train_ds, lam)
+        for j in range(folds):
+            val = fold == j
+            model = train_model_set(Dataset(ds.samples[~val], ds.labels[~val]), lam)
             reports.extend(t.report for t in model.matrices)
-            pred = _nn_cosine_labels(
-                _feature_matrix(model.matrices, ds.samples[val_idx]), model
-            )
-            wrong = int(np.count_nonzero(pred != ds.labels[val_idx]))
-            fold_errors.append(wrong / val_idx.size)
+            pred = _nn_cosine_labels(_feature_matrix(model.matrices, ds.samples[val]), model)
+            wrong = int(np.count_nonzero(pred != ds.labels[val]))
+            fold_errors.append(wrong / int(np.count_nonzero(val)))
         entries.append(
             CvEntry(
                 lam=lam,
@@ -391,30 +383,37 @@ def cross_validate_lambda(
     return best.lam, tuple(entries)
 
 
+def _summary_rows(summaries, c: int) -> np.ndarray:
+    """The model file's C solve summaries, all zero when there are none. Raises
+    InvalidInputError naming the first class whose summary the file cannot hold:
+    a missing key, an unknown termination or a count outside u32."""
+    rows = np.zeros(c, dtype=_SUMMARY)
+    for i, s in enumerate(summaries or ()):
+        try:
+            rows[i] = (_TERMINATIONS.index(s["termination"]),
+                       *(s[k] for k in _SUMMARY.names[1:]))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise InvalidInputError(f"class {i + 1}: cannot store summary {s!r}: {exc!r}") from exc
+    return rows
+
+
 def save_model(model: ModelSet, path) -> None:
     """Write the binary model file (see load_model for the layout).
 
     The file is replaced in one step, so readers see the old model or the
     new one, never a part.
     """
-    m = model.dim
     c = model.class_count
-    n = model.training_labels.shape[0]
     parts = [
         MODEL_MAGIC,
-        struct.pack("<III", MODEL_FORMAT_VERSION, m, c),
-        struct.pack("<d", model.lam),
+        struct.pack("<IIId", MODEL_FORMAT_VERSION, model.dim, c, model.lam),
+        np.asarray([t.matrix.entries for t in model.matrices], dtype="<f8").tobytes(),
+        struct.pack("<I", model.training_labels.shape[0]),
+        np.asarray(model.training_features, dtype="<f8").tobytes(),
+        model.training_labels.astype("<u4").tobytes(),
+        np.array(model.class_labels, dtype="<i8").tobytes(),
+        _summary_rows(model.summaries, c).tobytes(),
     ]
-    for t in model.matrices:
-        parts.append(np.ascontiguousarray(t.matrix.entries, dtype="<f8").tobytes())
-    parts.append(struct.pack("<I", n))
-    parts.append(np.ascontiguousarray(model.training_features, dtype="<f8").tobytes())
-    parts.append(model.training_labels.astype("<u4").tobytes())
-    parts.append(np.array(model.class_labels, dtype="<i8").tobytes())
-    summary = np.zeros(c, dtype=_SUMMARY)
-    for i, s in enumerate(model.summaries or ()):
-        summary[i] = (_TERMINATIONS.index(s["termination"]), *(s[k] for k in _SUMMARY.names[1:]))
-    parts.append(summary.tobytes())
     payload = b"".join(parts)
     _replace_file(path, (payload, struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)))
 
@@ -484,20 +483,9 @@ def load_model(path) -> ModelSet:
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != expected:
         raise ModelChecksumError("model file checksum mismatch")
 
-    matrices = []
-    offset = header_len
-    for _ in range(c):
-        raw = np.frombuffer(blob, dtype="<f8", count=m * m, offset=offset)
-        matrices.append(
-            TrainedQuadraticMatrix(
-                matrix=SymmetricMatrix(raw.reshape(m, m)), dual=None, report=None
-            )
-        )
-        offset += 8 * m * m
-    offset = n_offset + 4
-    features = np.frombuffer(blob, dtype="<f8", count=c * n, offset=offset).reshape(c, n)
-    offset += 8 * c * n
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset).astype(np.int64)
+    mats = np.frombuffer(blob, "<f8", c * m * m, header_len).reshape(c, m, m)
+    features = np.frombuffer(blob, "<f8", c * n, n_offset + 4).reshape(c, n)
+    labels = np.frombuffer(blob, "<u4", n, n_offset + 4 + 8 * c * n).astype(np.int64)
     class_labels = summaries = None
     if version == 2:
         class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
@@ -508,7 +496,7 @@ def load_model(path) -> ModelSet:
             summaries = tuple(dict(zip(_SUMMARY.names, (_TERMINATIONS[r[0]], *r[1:])))
                               for r in rows)
     return ModelSet(
-        matrices=tuple(matrices),
+        matrices=tuple(TrainedQuadraticMatrix(SymmetricMatrix(p), None, None) for p in mats),
         lam=lam,
         training_features=features,
         training_labels=labels,

@@ -431,6 +431,17 @@ class TestSplit:
         b = split_random(ds, spec, 1)
         assert np.array_equal(a[0].samples, b[0].samples)
 
+    def test_rows_match_recorded_draws(self):
+        # Rows of self.base() drawn to train and to test for SplitSpec(2, seed=5):
+        # the draws themselves are pinned, not only their determinism.
+        ds = self.base()
+        recorded = {0: ([3, 4, 6, 9, 10, 14], [0, 1, 2, 5, 7, 8, 11, 12, 13]),
+                    1: ([0, 2, 6, 8, 10, 11], [1, 3, 4, 5, 7, 9, 12, 13, 14])}
+        for repetition, rows in recorded.items():
+            for part, idx in zip(split_random(ds, SplitSpec(2, seed=5), repetition), rows):
+                assert np.array_equal(part.samples, ds.samples[idx])
+                assert np.array_equal(part.labels, ds.labels[idx])
+
     def test_different_repetitions_differ(self):
         ds = self.base()
         spec = SplitSpec(per_class_train=2, seed=12345)

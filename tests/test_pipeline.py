@@ -23,6 +23,7 @@ from dqml.errors import (
     ModelVersionError,
 )
 from dqml.pipeline import (
+    CvEntry,
     Dataset,
     FeatureVector,
     ModelSet,
@@ -334,7 +335,8 @@ class TestCrossValidation:
 
     def test_small_class_stays_in_training(self):
         # Class 3 has 2 samples < 3 folds: it is trained on but never
-        # validated, so validation still works for the big classes.
+        # validated, so validation still works for the big classes. The table
+        # is pinned, so moving one sample to another fold shows here.
         rng = np.random.default_rng(2)
         big = [rng.normal(size=(6, 3)) + 5 * np.eye(3)[k] for k in range(2)]
         small = rng.normal(size=(2, 3)) + 5 * np.array([1, 1, 1]) / np.sqrt(3)
@@ -343,9 +345,10 @@ class TestCrossValidation:
             np.array([1] * 6 + [2] * 6 + [3] * 2),
         )
         lam, table = cross_validate_lambda(ds, [1.0], folds=3, seed=0)
-        assert lam == 1.0
-        for entry in table:
-            assert len(entry.fold_errors) == 3
+        assert (lam, table) == (1.0, (CvEntry(lam=1.0, mean_error=0.25,
+                                               fold_errors=(0.25, 0.0, 0.5), unconverged=2,
+                                               worst_grad_inf_norm=1.1362579694251806e-05),))
+        assert all(type(e) is float for e in table[0].fold_errors)
 
     def test_entries_count_their_unconverged_fold_solves(self, monkeypatch):
         # Acceptance test 8's reference split and grid, where some fold
@@ -363,6 +366,9 @@ class TestCrossValidation:
         _, table = cross_validate_lambda(train, grid, folds=10, seed=42)
         assert len(log) == len(grid) * 10 * 3
         assert [e.lam for e in table] == list(grid)
+        assert table[0] == CvEntry(lam=0.1, mean_error=0.0, fold_errors=(0.0,) * 10,
+                                   unconverged=5, worst_grad_inf_norm=4.606208459101424e-07)
+        assert all(type(e) is float for entry in table for e in entry.fold_errors)
         for entry in table:
             reports = [r for lam, r in log if lam == entry.lam]
             assert len(reports) == 30
@@ -675,11 +681,26 @@ class TestModelFile:
     def test_class_labels_are_checked(self):
         model = identity_model()
         args = (model.matrices, 1.0, model.training_features, model.training_labels)
-        for labels in ((3, 3), (1,), (0, 1)):
+        for labels in ((3, 3), (1,), (0, 1), (1, 2**63)):
             with pytest.raises(InvalidInputError, match="class labels"):
                 ModelSet(*args, labels)
+        ModelSet(*args, (1, 2**63 - 1))  # the largest label a model file holds
         with pytest.raises(InvalidInputError, match="solve summaries"):
             ModelSet(*args, (1, 2), ({},))
+
+    @pytest.mark.parametrize("change, match", [
+        ({"iterations": None}, "class 2: .*KeyError"),
+        ({"termination": "diverged"}, "class 2: .*diverged"),
+        ({"evaluations": 2**32}, "class 2: .*Overflow"),
+        ({"iterations": -1}, "class 2: .*Overflow"),
+    ], ids=["missing_key", "unknown_termination", "count_over_u32", "negative_count"])
+    def test_summaries_the_file_cannot_hold_are_refused(self, change, match):
+        model = self.trained()
+        # Class 2's summary with the change applied; None drops the key.
+        bad = {k: v for k, v in {**model.summaries[1], **change}.items() if v is not None}
+        summaries = (model.summaries[0], bad, model.summaries[2])
+        with pytest.raises(InvalidInputError, match=match):
+            replace(model, summaries=summaries)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "m.dqml"
