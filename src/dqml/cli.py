@@ -4,8 +4,9 @@ Subcommands: ``synth`` writes a synthetic Gaussian dataset, ``train`` fits
 per-class matrices at one λ or at the one cross-validation picks from a list,
 ``eval`` scores a saved model, ``protocol`` runs the repeated-split
 experiment, and ``diagnose`` runs the solver's self-checks (finite-difference
-gradients, KKT residuals, and reference-solver comparisons). A flag that a
-subcommand would not act on is a usage error.
+gradients, KKT residuals, and reference-solver comparisons). Every
+subcommand prints JSON to stdout, one object per line; errors and warnings
+go to stderr. A flag that a subcommand would not act on is a usage error.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible problem,
 4 diagnostic failure, 5 numerical failure.
@@ -114,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_positive_float, required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one PSD matrix per class")
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a saved model")
     p.add_argument("--data", required=True, help="CSV to evaluate on")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("protocol",
@@ -141,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="as for train, on each split; default %(default)s")
     p.add_argument("--folds", type=_positive_int, help="CV folds for a --lambda list (default 10)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("diagnose", help="solver self-checks on random instances")
@@ -155,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bracket covers the optimum")
     p.add_argument("--penalty-oracle", action="store_true",
                    help="compare against the penalty-method reference solver")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diagnose)
 
     return parser
@@ -184,10 +181,7 @@ def cmd_synth(args) -> int:
             "seed": spec.seed,
         },
     )
-    if args.json:
-        print(json.dumps({"path": args.out, "sidecar": str(sidecar), "rows": ds.n}))
-    else:
-        print(f"wrote {ds.n} rows to {args.out} (metadata in {sidecar})")
+    print(json.dumps({"path": args.out, "sidecar": str(sidecar), "rows": ds.n}))
     return 0
 
 
@@ -256,25 +250,20 @@ def cmd_eval(args) -> int:
         t0 = time.perf_counter()
         results[rule] = evaluate(model, test, rule)
         seconds[rule] = time.perf_counter() - t0
-    if args.json:
-        print(json.dumps({
-            "mode": "single",
-            "n": test.n,
-            **{
-                rule: {
-                    "error": res.error_rate,
-                    "seconds": seconds[rule],
-                    "us_per_sample": 1e6 * seconds[rule] / test.n,
-                }
-                for rule, res in results.items()
-            },
-            "classes": [{"label": label, **summary} for label, summary in
-                        zip(model.class_labels, model.summaries or [{}] * model.class_count)],
-        }))
-    else:
-        print(f"evaluated {test.n} samples")
-        for rule, res in results.items():
-            print(f"  {rule:<10} {100 * res.error_rate:6.2f}% error")
+    print(json.dumps({
+        "mode": "single",
+        "n": test.n,
+        **{
+            rule: {
+                "error": res.error_rate,
+                "seconds": seconds[rule],
+                "us_per_sample": 1e6 * seconds[rule] / test.n,
+            }
+            for rule, res in results.items()
+        },
+        "classes": [{"label": label, **summary} for label, summary in
+                    zip(model.class_labels, model.summaries or [{}] * model.class_count)],
+    }))
     return 0
 
 
@@ -298,17 +287,10 @@ def cmd_protocol(args) -> int:
         rule: {"mean_error": float(np.mean(v)), "std_error": float(np.std(v))}
         for rule, v in errors.items()
     }
-    if args.json:
-        print(json.dumps({
-            "mode": "protocol", "reps": args.reps, "lambdas": lambdas,
-            "cv": cv_tables if len(args.lam) > 1 else None, **summary
-        }))
-    else:
-        print(f"protocol: {args.reps} repetitions, {args.m_train} per class to train")
-        for rule in ("max", "nn_cosine"):
-            s = summary[rule]
-            print(f"  {rule:<10} {100 * s['mean_error']:6.2f}% "
-                  f"+/- {100 * s['std_error']:.2f}%")
+    print(json.dumps({
+        "mode": "protocol", "reps": args.reps, "lambdas": lambdas,
+        "cv": cv_tables if len(args.lam) > 1 else None, **summary
+    }))
     return 0
 
 
@@ -328,7 +310,7 @@ def cmd_diagnose(args) -> int:
         raise InvalidInputError("--grid-oracle needs --dim 2")
     lam, n_intra, n_extra, spread = (0.1, 5, 4, 0.25) if args.grid_step else (1.0, 12, 24, 0.5)
 
-    checks = []  # (instance, name, value, tolerance, passed)
+    checks = []  # one object per instance and check
 
     def record(i, name, value, tol):
         checks.append({
@@ -369,28 +351,13 @@ def cmd_diagnose(args) -> int:
             record(i, "penalty_objective_difference", abs(pen.objective - primal),
                    PENALTY_AGREEMENT_TOL * max(1.0, abs(primal)))
 
-    failures = [c for c in checks if not c["pass"]]
-    if args.json:
-        print(json.dumps({
-            "instances": args.random_instances,
-            "dim": args.dim,
-            "checks": checks,
-            "failures": len(failures),
-        }))
-    else:
-        worst: dict[str, dict] = {}
-        for c in checks:
-            cur = worst.get(c["check"])
-            if cur is None or c["value"] > cur["value"]:
-                worst[c["check"]] = c
-        print(f"{args.random_instances} instances at dim {args.dim}: "
-              f"{len(checks)} checks, {len(failures)} failed")
-        print(f"  {'check':<30} {'worst':>12} {'tolerance':>12}")
-        for name, c in worst.items():
-            print(f"  {name:<30} {c['value']:>12.3e} {c['tolerance']:>12.3e}")
-        for c in failures:
-            print(f"  FAIL instance {c['instance']}: {c['check']} "
-                  f"{c['value']:.3e} > {c['tolerance']:.3e}")
+    failures = sum(not c["pass"] for c in checks)
+    print(json.dumps({
+        "instances": args.random_instances,
+        "dim": args.dim,
+        "checks": checks,
+        "failures": failures,
+    }))
     return 4 if failures else 0
 
 

@@ -8,6 +8,7 @@ directly or runs cosine nearest-neighbor against the training features.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 import uuid
@@ -386,10 +387,16 @@ def cross_validate_lambda(
 def _summary_rows(summaries, c: int) -> np.ndarray:
     """The model file's C solve summaries, all zero when there are none. Raises
     InvalidInputError naming the first class whose summary the file cannot hold:
-    a missing key, an unknown termination or a count outside u32."""
+    a missing key, an unknown termination, a count that is not an integer in
+    u32, or a float field that is not a real number (a bool is neither)."""
     rows = np.zeros(c, dtype=_SUMMARY)
     for i, s in enumerate(summaries or ()):
         try:
+            for k in _SUMMARY.names[1:]:
+                kind, what = ((numbers.Integral, "an integer") if _SUMMARY[k].kind == "u"
+                              else (numbers.Real, "a real number"))
+                if isinstance(s[k], bool) or not isinstance(s[k], kind):
+                    raise TypeError(f"{k} must be {what}")
             rows[i] = (_TERMINATIONS.index(s["termination"]),
                        *(s[k] for k in _SUMMARY.names[1:]))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:

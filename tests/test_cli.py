@@ -54,7 +54,8 @@ class TestSynth:
         assert sidecar.exists()
         assert "seed: 3" in sidecar.read_text()
         assert len(out.read_text().strip().splitlines()) == 8
-        assert "wrote 8 rows" in capsys.readouterr().out
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"path": str(out), "sidecar": str(sidecar), "rows": 8}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -68,15 +69,6 @@ class TestSynth:
         code = run_cli(["synth", "--classes", "2", "--dim", "3", "--per-class", "4",
                         "--sep", "5", "--sigma", "0", "-o", str(tmp_path / "x.csv")])
         assert code == 2
-
-    def test_json_output(self, tmp_path, capsys):
-        out = tmp_path / "data.csv"
-        code = run_cli(["synth", "--classes", "2", "--dim", "2", "--per-class", "3",
-                        "--sep", "4", "--sigma", "1", "-o", str(out), "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"] == 6
-        assert payload["path"] == str(out)
 
 
 class TestTrain:
@@ -255,8 +247,7 @@ class TestEval:
     def test_single_shot_reports_both_rules(self, trained, capsys):
         data, model_path = trained
         capsys.readouterr()
-        code = run_cli(["eval", "--model", str(model_path), "--data", str(data),
-                        "--json"])
+        code = run_cli(["eval", "--model", str(model_path), "--data", str(data)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "single"
@@ -265,19 +256,10 @@ class TestEval:
             assert payload[rule]["seconds"] > 0.0
             assert payload[rule]["us_per_sample"] > 0.0
 
-    def test_single_shot_human_output(self, trained, capsys):
-        data, model_path = trained
-        capsys.readouterr()
-        code = run_cli(["eval", "--model", str(model_path), "--data", str(data)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max" in out and "nn_cosine" in out
-
     def test_protocol_reports_mean_and_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=10)
         code = run_cli(["protocol", "--data", str(data),
-                        "--m-train", "5", "--reps", "3", "--lambda", "1",
-                        "--json"])
+                        "--m-train", "5", "--reps", "3", "--lambda", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reps"] == 3
@@ -291,7 +273,7 @@ class TestEval:
         data = write_training_csv(tmp_path / "all.csv", per_class=14)
         argv = ["protocol", "--data", str(data), "--m-train", "10",
                 "--reps", "1", "--lambda", "0.1,1", "--folds", "2"]
-        assert run_cli(argv + ["--json"]) == 0
+        assert run_cli(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["lambdas"]) == 1
         assert all(lam in (0.1, 1.0) for lam in payload["lambdas"])
@@ -301,17 +283,11 @@ class TestEval:
             {"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
              "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table
         ]]
-        assert run_cli(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "protocol: 1 repetitions, 10 per class to train"
-        assert [ln.split()[0] for ln in lines[1:]] == ["max", "nn_cosine"]
-        assert all(ln.endswith("%") and "+/-" in ln for ln in lines[1:])
 
     def test_protocol_single_rep_has_zero_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=6)
         code = run_cli(["protocol", "--data", str(data),
-                        "--m-train", "3", "--reps", "1", "--lambda", "1",
-                        "--json"])
+                        "--m-train", "3", "--reps", "1", "--lambda", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["max"]["std_error"] == 0.0
@@ -357,8 +333,7 @@ class TestEval:
         capsys.readouterr()
         reports = []
         for path in (data, reordered):
-            assert run_cli(["eval", "--model", str(model_path), "--data", str(path),
-                            "--json"]) == 0
+            assert run_cli(["eval", "--model", str(model_path), "--data", str(path)]) == 0
             payload = json.loads(capsys.readouterr().out)
             for rule in ("max", "nn_cosine"):
                 del payload[rule]["seconds"], payload[rule]["us_per_sample"]
@@ -383,8 +358,7 @@ class TestEval:
                 f"{relabel(r.split(',', 1)[0])},{r.split(',', 1)[1]}\n"
                 for r in rows if keep(int(r.split(",")[0]))
             ))
-            code = run_cli(["eval", "--model", str(model_path), "--data", str(subset),
-                            "--json"])
+            code = run_cli(["eval", "--model", str(model_path), "--data", str(subset)])
             return code, subset
 
         return data, model_path, eval_rows
@@ -425,8 +399,7 @@ class TestEval:
         rows = data.read_text().splitlines()
         subset = tmp_path / "subset.csv"
         subset.write_text("\n".join(r for r in rows if not r.startswith("3,")) + "\n")
-        assert run_cli(["eval", "--model", str(model_path), "--data", str(subset),
-                        "--json"]) == 0
+        assert run_cli(["eval", "--model", str(model_path), "--data", str(subset)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 40
         assert payload["max"]["error"] == payload["nn_cosine"]["error"] == 0.0
@@ -448,7 +421,7 @@ class TestEval:
         v1 = tmp_path / "v1.dqml"
         v1.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
         capsys.readouterr()
-        assert run_cli(["eval", "--model", str(v1), "--data", str(data), "--json"]) == 0
+        assert run_cli(["eval", "--model", str(v1), "--data", str(data)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["classes"] == [{"label": 1}, {"label": 2}]
         assert payload["max"]["error"] <= 0.25
@@ -475,13 +448,15 @@ class TestDiagnose:
         code = run_cli(["diagnose", "--random-instances", "4", "--dim", "5",
                         "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "0 failed" in out
-        assert "duality_gap" in out
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] == 0
+        assert payload["instances"] == 4 and payload["dim"] == 5
+        assert len(payload["checks"]) == 4 * 5
+        assert "duality_gap" in {c["check"] for c in payload["checks"]}
 
     def test_json_checks_all_pass(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "4",
-                        "--seed", "1", "--json"])
+                        "--seed", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"] == 0
@@ -493,7 +468,7 @@ class TestDiagnose:
 
     def test_grid_oracle_agreement(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "2",
-                        "--seed", "7", "--grid-oracle", "0.05", "--json"])
+                        "--seed", "7", "--grid-oracle", "0.05"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         diffs = [c for c in payload["checks"]
@@ -520,7 +495,7 @@ class TestDiagnose:
 
     def test_penalty_oracle_agreement(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "4",
-                        "--seed", "2", "--penalty-oracle", "--json"])
+                        "--seed", "2", "--penalty-oracle"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         diffs = [c for c in payload["checks"]
@@ -543,14 +518,15 @@ class TestDiagnose:
         code = run_cli(["diagnose", "--random-instances", "2", "--dim", "4",
                         "--seed", "0"])
         assert code == 4
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "gradient_fd_rel_error" in out
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] >= 1
+        assert any(c["check"] == "gradient_fd_rel_error" and not c["pass"]
+                   and c["value"] > c["tolerance"] for c in payload["checks"])
 
     def test_failure_table_lists_instances(self, monkeypatch, capsys):
         self.perturb_gradient(monkeypatch)
         code = run_cli(["diagnose", "--random-instances", "2", "--dim", "3",
-                        "--seed", "5", "--json"])
+                        "--seed", "5"])
         assert code == 4
         payload = json.loads(capsys.readouterr().out)
         bad = [c for c in payload["checks"] if not c["pass"]]
@@ -596,7 +572,8 @@ class TestArgumentTypes:
 
 
     # Each pair was accepted and silently ignored when train, eval and the
-    # split protocol shared their flags; now each is a usage error.
+    # split protocol shared their flags; now each is a usage error. --json
+    # chose JSON output before it became every subcommand's only output.
     @pytest.mark.parametrize("argv, message", [
         (["eval", "--model", "M", "--data", "D", "--m-train", "3"], "unrecognized"),
         (["eval", "--model", "M", "--data", "D", "--reps", "3"], "unrecognized"),
@@ -613,9 +590,16 @@ class TestArgumentTypes:
         (["train", "--data", "D", "--lambda", "1", "--seed", "5", "-o", "O"],
          "unrecognized"),
         (["diagnose", "--random-instances", "1", "--step", "7"], "unrecognized"),
+        (synth_argv("O") + ["--json"], "unrecognized"),
+        (["train", "--data", "D", "--lambda", "1", "-o", "O", "--json"], "unrecognized"),
+        (["eval", "--model", "M", "--data", "D", "--json"], "unrecognized"),
+        (["protocol", "--data", "D", "--m-train", "3", "--lambda", "1", "--json"],
+         "unrecognized"),
+        (["diagnose", "--random-instances", "1", "--json"], "unrecognized"),
     ], ids=["eval-m-train", "eval-reps", "eval-lambda", "eval-cv-grid", "eval-folds",
             "eval-seed", "protocol-cv-grid", "protocol-folds", "train-folds",
-            "train-seed", "diagnose-step"])
+            "train-seed", "diagnose-step", "synth-json", "train-json", "eval-json",
+            "protocol-json", "diagnose-json"])
     def test_ignored_flags_are_usage_errors(self, argv, message, tmp_path, capsys):
         # Valid files otherwise, so only the flag can make the command fail.
         data = write_training_csv(tmp_path / "d.csv")
@@ -626,11 +610,31 @@ class TestArgumentTypes:
         paths = {"D": str(data), "M": str(model_path), "O": str(tmp_path / "o.dqml")}
         assert run_cli([paths.get(a, a) for a in argv]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.dqml").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "protocol", "diagnose"])
     def test_help_renders(self, command, capsys):
         assert run_cli([command, "--help"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: dqml {command}")
+
+
+class TestOutput:
+    def test_every_subcommand_prints_only_json_objects(self, tmp_path, capsys):
+        data, model_path = tmp_path / "d.csv", tmp_path / "m.dqml"
+        for argv in (
+            ["synth", "--classes", "2", "--dim", "2", "--per-class", "6",
+             "--sep", "4", "--sigma", "1", "-o", str(data)],
+            ["train", "--data", str(data), "--lambda", "0.1,1", "--folds", "2",
+             "-o", str(model_path)],
+            ["eval", "--model", str(model_path), "--data", str(data)],
+            ["protocol", "--data", str(data), "--m-train", "4", "--reps", "2",
+             "--lambda", "0.1"],
+            ["diagnose", "--random-instances", "2", "--dim", "3"],
+        ):
+            assert run_cli(argv) == 0, argv
+            lines = capsys.readouterr().out.splitlines()
+            assert lines, argv
+            assert all(isinstance(json.loads(ln), dict) for ln in lines), argv
 
 
 class TestReadme:

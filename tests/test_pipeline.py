@@ -693,7 +693,11 @@ class TestModelFile:
         ({"termination": "diverged"}, "class 2: .*diverged"),
         ({"evaluations": 2**32}, "class 2: .*Overflow"),
         ({"iterations": -1}, "class 2: .*Overflow"),
-    ], ids=["missing_key", "unknown_termination", "count_over_u32", "negative_count"])
+        ({"iterations": 3.7}, "class 2: .*iterations must be an integer"),
+        ({"iterations": True}, "class 2: .*iterations must be an integer"),
+        ({"grad_inf_norm": "1e-3"}, "class 2: .*grad_inf_norm must be a real number"),
+    ], ids=["missing_key", "unknown_termination", "count_over_u32", "negative_count",
+            "float_count", "bool_count", "string_float"])
     def test_summaries_the_file_cannot_hold_are_refused(self, change, match):
         model = self.trained()
         # Class 2's summary with the change applied; None drops the key.
