@@ -70,6 +70,15 @@ class TestSynth:
                         "--sep", "5", "--sigma", "0", "-o", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_json_output(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        code = run_cli(["synth", "--classes", "2", "--dim", "2", "--per-class", "3",
+                        "--sep", "4", "--sigma", "1", "-o", str(out)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"] == 6
+        assert payload["path"] == str(out)
+
 
 class TestTrain:
     def test_fixed_lambda_writes_model_and_reports(self, tmp_path, capsys):
