@@ -335,20 +335,15 @@ def split_random(
     """
     k = spec.per_class_train
     rng = np.random.default_rng([spec.seed, repetition])
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
+    train = np.zeros(ds.n, dtype=bool)
     for c in range(1, ds.class_count + 1):
         idx = np.flatnonzero(ds.labels == c)
         if idx.size <= k:
             raise InvalidInputError(
                 f"class {c} has {idx.size} samples; need more than {k} to split"
             )
-        perm = rng.permutation(idx.size)
-        train_idx.append(idx[perm[:k]])
-        test_idx.append(idx[perm[k:]])
-    tr = np.sort(np.concatenate(train_idx))
-    te = np.sort(np.concatenate(test_idx))
+        train[idx[rng.permutation(idx.size)[:k]]] = True
     return (
-        Dataset(ds.samples[tr], ds.labels[tr]),
-        Dataset(ds.samples[te], ds.labels[te]),
+        Dataset(ds.samples[train], ds.labels[train]),
+        Dataset(ds.samples[~train], ds.labels[~train]),
     )

@@ -215,13 +215,12 @@ def _assemble(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray) -> np.nda
 
 
 def _dual_state(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray):
-    """D(u), its gradient, and the spectrum of M(u), given lam_o = lam*O.
+    """f(u) = -D(u), its gradient, and the spectrum of M(u), given lam_o = lam*O.
 
     The one place the dual is evaluated: exactly one eigendecomposition per
-    call. Returns (dual_value, dual_gradient, eigenvectors,
-    negative_eigenvalues, eigenvalues, y2), eigenvalues descending, where
-    y2 = (X V)^2 holds the squared coordinates of the samples in the
-    eigenbasis.
+    call. Returns (f, grad_f, eigenvectors, negative_eigenvalues,
+    eigenvalues, y2), eigenvalues descending, where y2 = (X V)^2 holds the
+    squared coordinates of the samples in the eigenbasis.
     """
     m = _assemble(problem, u, lam_o)
     if not np.isfinite(m).all():
@@ -232,10 +231,11 @@ def _dual_state(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray):
         raise NumericalFailureError("eigendecomposition of M(u) failed") from exc
     neg = _clamped_part(w, negative=True)
     b = problem.margin
-    dual = -0.5 * float(neg.dot(neg)) + b * float(u.sum())
+    # f as -D, so that D(0) = -f(0) is +0.0; 0.5||neg||^2 - b sum(u) gives D(0) = -0.0.
+    f = -(b * float(u.sum()) - 0.5 * float(neg.dot(neg)))
     y2 = np.square(problem.intra @ v)
-    grad = b + y2 @ neg
-    return dual, grad, v, neg, w, y2
+    g = -(b + y2 @ neg)
+    return f, g, v, neg, w, y2
 
 
 def _f_lower_bound(
@@ -317,12 +317,12 @@ def assemble_m(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
 
 def dual_objective(problem: ClassProblem, u: np.ndarray) -> float:
     """D(u) = -(1/2)||M(u)_-||_F^2 + b * sum(u)."""
-    return _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[0]
+    return -_dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[0]
 
 
 def dual_gradient(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
     """dD/du_i = b + x_i^T M(u)_- x_i."""
-    return _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[1]
+    return -_dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[1]
 
 
 def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
@@ -428,9 +428,7 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
-    dual_value, dual_grad, v, neg, w, y2 = _dual_state(problem, u, lam_o)
-    f = -dual_value
-    g = -dual_grad
+    f, g, v, neg, w, y2 = _dual_state(problem, u, lam_o)
     evals = 1
 
     pairs: deque = deque(maxlen=_MEMORY)
@@ -473,10 +471,7 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
                 or _f_lower_bound(problem, w, y2, u, u_new, delta, sq_norms, lam_o_norm)
                 > armijo
             ):
-                dual_new, dual_grad_new, v_new, neg_new, w_new, y2_new = _dual_state(
-                    problem, u_new, lam_o
-                )
-                f_new = -dual_new
+                f_new, g_new, v_new, neg_new, w_new, y2_new = _dual_state(problem, u_new, lam_o)
                 evals += 1
                 if f_new <= armijo:
                     accepted = True
@@ -486,7 +481,6 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
             termination = "line_search_failed"
             break
 
-        g_new = -dual_grad_new
         y = g_new - g
         sy = float(delta.dot(y))
         yy = float(y.dot(y))
@@ -500,7 +494,7 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
     eig_calls = eig_call_count() - eig_before
     p = _primal_from(v, neg)
     report = SolveReport(
-        **_kkt(problem, u, -f, -g, p),
+        **_kkt(problem, u, f, g, p),
         iterations=iterations,
         termination=termination,
         objective_evals=evals,
@@ -511,24 +505,20 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
 
 
 def _kkt(
-    problem: ClassProblem,
-    u: np.ndarray,
-    dual_value: float,
-    dual_grad: np.ndarray,
-    matrix: SymmetricMatrix,
+    problem: ClassProblem, u: np.ndarray, f: float, g: np.ndarray, matrix: SymmetricMatrix
 ) -> dict:
-    """KktReport's fields from multipliers u, D(u) and its gradient at u,
-    and a matrix: the whole certificate in one pass, with one eigh of the
-    matrix for min_eigenvalue."""
+    """KktReport's fields from multipliers u, f(u) = -D(u) and its gradient
+    g at u, and a matrix: the whole certificate in one pass, with one eigh
+    of the matrix for min_eigenvalue."""
     residual = problem.margin - constraint_values(problem, matrix)
     primal_value = primal_objective(problem, matrix)
     return dict(
-        grad_inf_norm=_projected_gradient(u, -dual_grad)[2],
+        grad_inf_norm=_projected_gradient(u, g)[2],
         max_violation=float(np.max(np.maximum(residual, 0.0))),
         complementary_slackness=float(np.max(np.abs(u * residual))),
-        duality_gap=primal_value - dual_value,
+        duality_gap=primal_value + f,
         min_eigenvalue=min_eigenvalue(matrix),
-        dual_objective=dual_value,
+        dual_objective=-f,
         primal_objective=primal_value,
     )
 
@@ -540,8 +530,8 @@ def kkt_report(
 ) -> KktReport:
     """Certify a dual point and a matrix, such as solve_dual's returned pair."""
     u = _check_dual_point(problem, dual.values)
-    dual_value, dual_grad = _dual_state(problem, u, problem.lam_o)[:2]
-    return KktReport(**_kkt(problem, u, dual_value, dual_grad, matrix))
+    f, g = _dual_state(problem, u, problem.lam_o)[:2]
+    return KktReport(**_kkt(problem, u, f, g, matrix))
 
 
 def random_class_problem(

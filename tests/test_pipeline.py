@@ -181,6 +181,19 @@ class TestTrainModelSet:
         model = train_model_set(reference_train(), lam=10.0)
         assert [t.report.converged for t in model.matrices] == [True] * 3
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="projected L-BFGS ends every class at max_iterations with P = 0 once "
+        "the samples are scaled by 10 (ROADMAP item 2b)",
+    )
+    def test_converges_on_reference_split_scaled_by_ten(self):
+        # Scaling the samples by s gives the unit-scale problem at lam * s^4,
+        # here lam = 1000.
+        ds = reference_train()
+        model = train_model_set(Dataset(10.0 * ds.samples, ds.labels), lam=0.1)
+        assert [t.report.converged for t in model.matrices] == [True] * 3
+        assert not any((t.matrix.entries == 0.0).all() for t in model.matrices)
+
 
 class TestFeatures:
     def test_zero_sample_gives_zero_features(self):

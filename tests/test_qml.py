@@ -247,6 +247,25 @@ class TestSolver:
         assert a.report == b.report
         assert a.report.seconds >= 0.0 and b.report.seconds >= 0.0
 
+    def test_steepest_descent_fallback(self, monkeypatch):
+        # A two-loop direction that is not a descent direction is replaced by
+        # -g_free. So an ascent direction g gives the same iterates as the
+        # descent direction -g, which the solver takes as it stands.
+        prob = random_class_problem(np.random.default_rng(3), dim=5, n_intra=6, n_extra=12)
+        calls = []
+
+        def ascent(g, pairs):
+            calls.append(1)
+            return -g
+
+        monkeypatch.setattr(qml, "_two_loop_direction", ascent)
+        fallback = solve_dual(prob)
+        monkeypatch.setattr(qml, "_two_loop_direction", lambda g, pairs: g.copy())
+        steepest = solve_dual(prob)
+        assert calls
+        assert fallback.report == steepest.report
+        assert np.array_equal(fallback.dual.values, steepest.dual.values)
+
     def test_zero_norm_sample_is_infeasible(self):
         bad = ClassProblem(
             np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0
