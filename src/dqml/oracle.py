@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, UnboundedProblemError
-from .qml import ClassProblem, _max_violation, check_feasible_samples
+from .qml import ClassProblem, _max_violation
 from .symmat import SymmetricMatrix, _spectral_part, negative_part, quad_forms
 
 DEFAULT_SCHEDULE = (1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -66,7 +66,7 @@ def solve_primal_grid(problem: ClassProblem, step: float = 0.01) -> OracleResult
     """
     if problem.dim != 2:
         raise InvalidInputError(f"grid oracle requires dimension 2, got {problem.dim}")
-    bracket = 3.0 * problem.margin * float(np.max(1.0 / check_feasible_samples(problem)))
+    bracket = 3.0 * problem.margin * float(np.max(1.0 / problem.sq_norms))
     if not (np.isfinite(step) and step > 0):
         raise InvalidInputError("step must be positive and finite")
     if bracket < step:
@@ -140,7 +140,6 @@ def _penalty_solve(problem: ClassProblem, quad: float, lin: float) -> OracleResu
     after every step; rho runs over DEFAULT_SCHEDULE. A final rescale makes
     the worst constraint hold exactly.
     """
-    check_feasible_samples(problem)
     x = problem.intra
     b = problem.margin
     o = problem.extra_scatter.entries
@@ -199,7 +198,6 @@ def solve_unregularized(problem: ClassProblem) -> OracleResult:
     Without the Frobenius term the objective is linear, so boundedness
     depends on the data; an O with a negative part raises UnboundedProblemError.
     """
-    check_feasible_samples(problem)
     # A feasible P exists, and P + t*v*v^T stays feasible for any eigenvector
     # v of O, so tr(P O) is unbounded below iff O has a negative eigenvalue.
     if negative_part(problem.extra_scatter).entries.any():

@@ -25,6 +25,7 @@ from .errors import (
     ModelFormatError,
     ModelTruncatedError,
     ModelVersionError,
+    NumericalFailureError,
 )
 from .qml import (
     ClassProblem,
@@ -221,7 +222,9 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
     """Train every class matrix and the training feature matrix.
 
     Classes are independent problems, solved one after another in class
-    order, each at solve_dual's one stopping rule.
+    order, each at solve_dual's one stopping rule. Raises
+    NumericalFailureError when every class matrix comes out zero: such a
+    model gives every sample zero features.
     """
     trained = []
     for c in range(1, ds.class_count + 1):
@@ -229,8 +232,10 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
             raise InvalidInputError(f"class {c} has no training sample")
         try:
             trained.append(solve_dual(build_class_problem(ds, c, lam)))
-        except InfeasibleProblemError as exc:
-            raise InfeasibleProblemError(f"class {c}: {exc}") from exc
+        except (InfeasibleProblemError, InvalidInputError) as exc:
+            raise type(exc)(f"class {c}: {exc}") from exc
+    if not any(t.matrix.entries.any() for t in trained):
+        raise NumericalFailureError("every class matrix is zero; the dual solver stalled")
     features = _feature_matrix(trained, ds.samples)
     return ModelSet(
         matrices=tuple(trained),
@@ -341,7 +346,8 @@ def cross_validate_lambda(
 
     Validation uses the cosine-NN rule. Returns the grid value with the
     lowest mean validation error, ties resolved toward the smaller value,
-    along with the full error table.
+    along with the full error table. A NumericalFailureError of a fold's
+    training is raised again with the lambda and the fold (1..folds) named.
     """
     grid = [float(g) for g in grid]
     if len(grid) == 0:
@@ -366,7 +372,10 @@ def cross_validate_lambda(
         fold_errors, reports = [], []
         for j in range(folds):
             val = fold == j
-            model = train_model_set(Dataset(ds.samples[~val], ds.labels[~val]), lam)
+            try:
+                model = train_model_set(Dataset(ds.samples[~val], ds.labels[~val]), lam)
+            except NumericalFailureError as exc:
+                raise NumericalFailureError(f"lambda {lam:g}, fold {j + 1}: {exc}") from exc
             reports.extend(t.report for t in model.matrices)
             pred = _nn_cosine_labels(_feature_matrix(model.matrices, ds.samples[val]), model)
             wrong = int(np.count_nonzero(pred != ds.labels[val]))

@@ -61,11 +61,8 @@ def build_scatter(samples: np.ndarray) -> SymmetricMatrix:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError(f"expected a 2-d sample array, got shape {x.shape}")
-    if x.shape[0] == 0:
-        dim = x.shape[1]
-        if dim < 1:
-            raise InvalidInputError("sample dimension must be at least 1")
-        return SymmetricMatrix(np.zeros((dim, dim)))
+    if x.shape[1] < 1:
+        raise InvalidInputError("sample dimension must be at least 1")
     if not np.isfinite(x).all():
         raise InvalidInputError("samples have non-finite entries")
     order = np.lexsort(x.T[::-1])
@@ -85,12 +82,19 @@ class ClassProblem:
     extra_scatter: m x m scatter matrix of the other classes' samples.
     lam: weight of the tr(P O) regularizer, > 0.
     margin: required value b of x^T P x on intra-class samples, > 0.
+    sq_norms, lam_o_norm (derived): ||x_i||^2 of each intra-class sample
+    (read-only) and ||lam O||_F, inf if it overflows.
+
+    Raises InfeasibleProblemError when an intra-class sample has zero norm,
+    so that x^T P x >= b > 0 can never hold.
     """
 
     intra: np.ndarray
     extra_scatter: SymmetricMatrix
     lam: float
     margin: float = 1.0
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    lam_o_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.intra, dtype=float, copy=True)
@@ -115,8 +119,21 @@ class ClassProblem:
         object.__setattr__(self, "margin", float(self.margin))
         with np.errstate(over="ignore"):
             lam_o = self.lam_o
+            lam_o_norm = self.lam * float(np.linalg.norm(self.extra_scatter.entries))
+            sq_norms = np.einsum("ij,ij->i", x, x)
         if not np.isfinite(lam_o).all():
             raise InvalidInputError("lam * extra_scatter has non-finite entries")
+        if (sq_norms == 0.0).any():
+            i = int(np.argmax(sq_norms == 0.0))
+            raise InfeasibleProblemError(
+                f"intra-class sample {i} has zero norm; x^T P x >= {self.margin} "
+                "cannot be satisfied"
+            )
+        if not np.isfinite(sq_norms).all():
+            raise InvalidInputError("intra samples have non-finite squared norms")
+        sq_norms.flags.writeable = False
+        object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "lam_o_norm", lam_o_norm)
 
     @property
     def lam_o(self) -> np.ndarray:
@@ -245,13 +262,10 @@ def _f_lower_bound(
     u: np.ndarray,
     u_new: np.ndarray,
     delta: np.ndarray,
-    sq_norms: np.ndarray,
-    lam_o_norm: float,
 ) -> float:
     """A lower bound on the f = -D(u_new) that _dual_state would compute,
     from the spectrum w and y2 of M(u) at the point u, without an
-    eigendecomposition. delta is the step u_new - u, sq_norms holds
-    ||x_i||^2 and lam_o_norm ||lam O||_F.
+    eigendecomposition. delta is the step u_new - u.
 
     ||M_-||_F^2 is the squared distance from M to the PSD cone, and the cone
     lies inside {A : diag(V^T A V) >= 0} for any orthonormal V. So
@@ -293,7 +307,7 @@ def _f_lower_bound(
     n, m = y2.shape
     z = np.minimum(w - delta @ y2, 0.0)
     zz = float(z.dot(z))
-    s = lam_o_norm + float(np.maximum(u, u_new).dot(sq_norms))
+    s = problem.lam_o_norm + float(np.maximum(u, u_new).dot(problem.sq_norms))
     linear = problem.margin * float(u_new.sum())
     d = 2.0 * _EPS * s * (m * math.sqrt(m) + m * n)
     tau = (
@@ -395,36 +409,16 @@ def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
     return q
 
 
-def check_feasible_samples(problem: ClassProblem) -> np.ndarray:
-    """Raise when a constraint can never hold (zero-norm intra sample);
-    otherwise return the squared norms ||x_i||^2 of the intra samples."""
-    norms = np.einsum("ij,ij->i", problem.intra, problem.intra)
-    if (norms == 0.0).any():
-        i = int(np.argmax(norms == 0.0))
-        raise InfeasibleProblemError(
-            f"intra-class sample {i} has zero norm; x^T P x >= {problem.margin} "
-            "cannot be satisfied"
-        )
-    return norms
-
-
 def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
     """Run the projected L-BFGS dual ascent and recover the trained matrix.
 
     It stops at MAX_ITERATIONS and GRAD_TOL as they are when it is called.
-    Raises InfeasibleProblemError when an intra-class sample has zero norm
-    (its constraint x^T P x >= b > 0 can never hold) and
-    NumericalFailureError when an iterate stops being finite.
+    Raises NumericalFailureError when an iterate stops being finite.
     """
     start = time.perf_counter()
-    sq_norms = check_feasible_samples(problem)
-
     tol = GRAD_TOL * max(1.0, problem.margin)
     eig_before = eig_call_count()
     lam_o = problem.lam_o
-    # An overflow to inf makes the line search evaluate every trial.
-    with np.errstate(over="ignore"):
-        lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
 
     # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
@@ -467,9 +461,7 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
             # The Armijo test rejects a trial with directional >= 0, and one
             # whose lower bound on f(u_new) exceeds armijo: skip evaluating it.
             if not (
-                directional >= 0.0
-                or _f_lower_bound(problem, w, y2, u, u_new, delta, sq_norms, lam_o_norm)
-                > armijo
+                directional >= 0.0 or _f_lower_bound(problem, w, y2, u, u_new, delta) > armijo
             ):
                 f_new, g_new, v_new, neg_new, w_new, y2_new = _dual_state(problem, u_new, lam_o)
                 evals += 1

@@ -230,18 +230,35 @@ class TestTrain:
 
     def test_overflowing_data_exits_2_without_numpy_warnings(self, tmp_path):
         # In a child process, so stderr is exactly what a user of the CLI sees.
-        rows = ["1,1e308,1", "1,1e308,2", "2,1e308,-1", "2,1e308,-3"]
-        data = tmp_path / "big.csv"
-        data.write_text("\n".join(rows) + "\n")
+        cases = [
+            (["1,1e308,1", "1,1e308,2", "2,1e308,-1", "2,1e308,-3"], "non-finite"),
+            # Finite samples of class 1 whose squared norms overflow.
+            (["1,1e160,1", "1,1e160,2", "2,1,0", "2,0,1"], "class 1: "),
+        ]
         env = dict(os.environ, PYTHONPATH=str(Path(dqml.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dqml.cli", "train", "--data", str(data),
-             "--lambda", "1", "-o", str(tmp_path / "m.dqml")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2
-        assert "non-finite" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        for rows, message in cases:
+            data = tmp_path / "big.csv"
+            data.write_text("\n".join(rows) + "\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "dqml.cli", "train", "--data", str(data),
+                 "--lambda", "1", "-o", str(tmp_path / "m.dqml")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2
+            assert "non-finite" in proc.stderr
+            assert message in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+
+    def test_all_zero_cv_fold_exits_5(self, tmp_path, capsys):
+        # README's known limit: at 10 times the scale of its example data,
+        # every class matrix of the first CV fold at lambda 0.1 stays zero.
+        data = tmp_path / "data.csv"
+        assert run_cli(["synth", "--classes", "3", "--dim", "10", "--per-class", "70",
+                        "--sep", "60", "--sigma", "10", "-o", str(data)]) == 0
+        code = run_cli(["train", "--data", str(data), "--lambda", "0.1,0.3,1,3,10",
+                        "-o", str(tmp_path / "m.dqml")])
+        assert code == 5
+        assert "error: lambda 0.1, fold 1: every class matrix is zero" in capsys.readouterr().err
 
 
 class TestEval:

@@ -118,11 +118,11 @@ class TestGridOracle:
             solve_primal_grid(single_axis_problem(), step=3.0 / 21)
 
     def test_zero_norm_sample_is_infeasible(self):
-        prob = ClassProblem(
-            np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0
-        )
+        # The problem itself refuses the sample, before any solver runs.
         with pytest.raises(InfeasibleProblemError, match="zero norm"):
-            solve_primal_grid(prob)
+            solve_primal_grid(
+                ClassProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0)
+            )
 
     def test_result_is_feasible_and_psd(self):
         res = solve_primal_grid(random_2d_problem(7), step=0.05)
@@ -145,11 +145,11 @@ class TestPenaltyOracle:
         assert abs(res.objective - ref) <= 1e-3 * max(1.0, abs(ref))
 
     def test_zero_norm_sample_is_infeasible(self):
-        prob = ClassProblem(
-            np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0
-        )
+        # The problem itself refuses the sample, before any solver runs.
         with pytest.raises(InfeasibleProblemError, match="zero norm"):
-            solve_primal_penalty(prob)
+            solve_primal_penalty(
+                ClassProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0)
+            )
 
     def test_violation_within_contract(self):
         rng = np.random.default_rng(11)

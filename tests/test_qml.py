@@ -93,10 +93,28 @@ class TestConstruction:
                 (ok, SymmetricMatrix(np.diag([1e308, 1.0])), 10.0),
                 # The scatter of huge samples overflows.
                 (ok, build_scatter(np.array([[1e308, 1.0], [-1e308, 1.0]])), 1.0),
+                # ||x_i||^2 overflows although the samples are finite.
+                (np.array([[1e160, 1.0], [1e160, 2.0]]), zero_scatter(2), 1.0),
             ]
             for intra, scatter, lam in cases:
-                with pytest.raises(InvalidInputError):
+                with pytest.raises(InvalidInputError, match="non-finite"):
                     ClassProblem(intra, scatter, lam=lam)
+
+    def test_derived_fields(self):
+        rng = np.random.default_rng(5)
+        prob = random_class_problem(rng, dim=4, n_intra=6, n_extra=9, lam=0.7)
+        x = prob.intra
+        assert prob.sq_norms.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+        assert not prob.sq_norms.flags.writeable
+        with pytest.raises(ValueError):
+            prob.sq_norms[0] = 1.0
+        assert prob.lam_o_norm == prob.lam * float(np.linalg.norm(prob.extra_scatter.entries))
+        doubled = dataclasses.replace(prob, lam=2.0 * prob.lam)
+        assert doubled.lam_o_norm == doubled.lam * float(
+            np.linalg.norm(prob.extra_scatter.entries)
+        )
+        assert doubled.lam_o_norm != prob.lam_o_norm
+        assert np.array_equal(doubled.sq_norms, prob.sq_norms)
 
     def test_dual_variables_reject_negative(self):
         with pytest.raises(InvalidInputError):
@@ -111,6 +129,11 @@ class TestBuildScatter:
     def test_empty_needs_dim(self):
         assert build_scatter(np.zeros((0, 3))).entries.shape == (3, 3)
         assert np.all(build_scatter(np.zeros((0, 3))).entries == 0.0)
+
+    def test_rows_need_dim(self):
+        for shape in ((0, 0), (5, 0)):
+            with pytest.raises(InvalidInputError, match="dimension"):
+                build_scatter(np.ones(shape))
 
     def test_permutation_gives_bit_identical_result(self):
         rng = np.random.default_rng(7)
@@ -267,11 +290,8 @@ class TestSolver:
         assert np.array_equal(fallback.dual.values, steepest.dual.values)
 
     def test_zero_norm_sample_is_infeasible(self):
-        bad = ClassProblem(
-            np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0
-        )
-        with pytest.raises(InfeasibleProblemError, match="zero norm"):
-            solve_dual(bad)
+        with pytest.raises(InfeasibleProblemError, match="sample 1 has zero norm"):
+            ClassProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), zero_scatter(2), lam=1.0)
 
     def test_respects_iteration_cap(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -343,9 +363,7 @@ def random_problems(count):
 def f_lower_bound(problem, u, u_new):
     """qml._f_lower_bound from the spectrum at u, as solve_dual calls it."""
     w, y2 = qml._dual_state(problem, u, problem.lam_o)[4:]
-    sq_norms = qml.check_feasible_samples(problem)
-    lam_o_norm = problem.lam * float(np.linalg.norm(problem.extra_scatter.entries))
-    return qml._f_lower_bound(problem, w, y2, u, u_new, u_new - u, sq_norms, lam_o_norm)
+    return qml._f_lower_bound(problem, w, y2, u, u_new, u_new - u)
 
 
 def report_fields(trained):
@@ -377,7 +395,7 @@ class TestLineSearchScreen:
         prob = self.PROBLEMS[index]
         rng = np.random.default_rng([32, index])
         # Multipliers near the optimum scale like 1/||x||^4.
-        unit = 1.0 / float(np.mean(qml.check_feasible_samples(prob))) ** 2
+        unit = 1.0 / float(np.mean(prob.sq_norms)) ** 2
         for _ in range(20):
             scale = unit * 10.0 ** rng.uniform(-2, 2)
             u = scale * rng.exponential(size=prob.n_intra)
@@ -391,8 +409,7 @@ class TestLineSearchScreen:
     def test_bound_is_exact_at_zero_step(self, index):
         prob = self.PROBLEMS[index]
         rng = np.random.default_rng([33, index])
-        sq_norms = qml.check_feasible_samples(prob)
-        unit = 1.0 / float(np.mean(sq_norms)) ** 2
+        unit = 1.0 / float(np.mean(prob.sq_norms)) ** 2
         checked = 0
         for _ in range(20):
             u = unit * 10.0 ** rng.uniform(-2, 2) * rng.exponential(size=prob.n_intra)
@@ -405,7 +422,7 @@ class TestLineSearchScreen:
             # tau = ||z|| d + m (1e-10 S)^2 / 2 + eps ((m + 1) ||z||^2 + 2 b sum(u)),
             # with z the negative eigenvalues and d = 2 eps S (m^(3/2) + m n).
             m, n = prob.dim, prob.n_intra
-            s = prob.lam * np.linalg.norm(prob.extra_scatter.entries) + float(u @ sq_norms)
+            s = prob.lam_o_norm + float(u @ prob.sq_norms)
             z_norm = math.sqrt(float(np.square(np.minimum(w, 0.0)).sum()))
             d = 2.0 * EPS * s * (m**1.5 + m * n)
             tau = z_norm * d + 0.5 * m * (1e-10 * s) ** 2 + EPS * (
