@@ -61,6 +61,9 @@ VIOLATION_TOL = 1e-4
 SLACKNESS_TOL = 1e-4
 FD_TOL = 1e-5
 PENALTY_AGREEMENT_TOL = 1e-3
+# SolveReport fields that train prints beside the model file's solve summary.
+_TRAIN_ONLY_FIELDS = ("dual_objective", "primal_objective", "complementary_slackness",
+                      "min_eigenvalue", "converged", "seconds")
 
 
 def _positive_float(text: str) -> float:
@@ -217,18 +220,8 @@ def cmd_train(args) -> int:
         print(json.dumps({
             "class": c,
             "label": model.class_labels[c - 1],
-            "iterations": rep.iterations,
-            "dual_objective": rep.dual_objective,
-            "primal_objective": rep.primal_objective,
-            "gap": rep.duality_gap,
-            "complementary_slackness": rep.complementary_slackness,
-            "min_eigenvalue": rep.min_eigenvalue,
-            "converged": rep.converged,
-            "termination": rep.termination,
-            "evaluations": rep.objective_evals,
-            "grad_inf_norm": rep.grad_inf_norm,
-            "max_violation": rep.max_violation,
-            "seconds": rep.seconds,
+            **model.summaries[c - 1],
+            **{k: getattr(rep, k) for k in _TRAIN_ONLY_FIELDS},
         }))
         if not rep.converged:
             print(f"warning: class {c} did not converge "

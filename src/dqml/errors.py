@@ -10,7 +10,7 @@ class InvalidInputError(DqmlError):
 
 
 class DegenerateFeatureError(InvalidInputError):
-    """A feature vector (or the whole training feature set) has zero norm."""
+    """A feature vector, the whole training feature set or every class matrix is zero."""
 
 
 class InfeasibleProblemError(DqmlError):

@@ -185,7 +185,10 @@ def build_class_problem(ds: Dataset, c: int, lam: float) -> ClassProblem:
 
 
 def _feature_matrix(matrices, x: np.ndarray) -> np.ndarray:
-    """(n, C) feature matrix: entry (i, c) is x_i^T P_c x_i."""
+    """(n, C) feature matrix: entry (i, c) is x_i^T P_c x_i. A model whose every
+    class matrix is zero gives every sample zero features and is refused."""
+    if not any(t.matrix.entries.any() for t in matrices):
+        raise DegenerateFeatureError("every class matrix is zero")
     f = np.stack([quad_forms(t.matrix.entries, x) for t in matrices], axis=1)
     _check_features(f)
     return f
@@ -344,9 +347,9 @@ def cross_validate_lambda(
 ) -> tuple[float, tuple[CvEntry, ...]]:
     """Pick the regularization weight by stratified k-fold cross-validation.
 
-    Validation uses the cosine-NN rule. Returns the grid value with the
-    lowest mean validation error, ties resolved toward the smaller value,
-    along with the full error table. A NumericalFailureError of a fold's
+    Each fold is scored by evaluate's cosine-NN rule. Returns the grid value
+    with the lowest mean validation error, ties resolved toward the smaller
+    value, along with the full error table. A NumericalFailureError of a fold's
     training is raised again with the lambda and the fold (1..folds) named.
     """
     grid = [float(g) for g in grid]
@@ -377,9 +380,8 @@ def cross_validate_lambda(
             except NumericalFailureError as exc:
                 raise NumericalFailureError(f"lambda {lam:g}, fold {j + 1}: {exc}") from exc
             reports.extend(t.report for t in model.matrices)
-            pred = _nn_cosine_labels(_feature_matrix(model.matrices, ds.samples[val]), model)
-            wrong = int(np.count_nonzero(pred != ds.labels[val]))
-            fold_errors.append(wrong / int(np.count_nonzero(val)))
+            val_ds = Dataset(ds.samples[val], ds.labels[val])
+            fold_errors.append(evaluate(model, val_ds, "nn_cosine").error_rate)
         entries.append(
             CvEntry(
                 lam=lam,

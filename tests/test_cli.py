@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,15 @@ from dqml.datasets import (
     split_random,
 )
 from dqml.errors import NumericalFailureError
-from dqml.pipeline import Dataset, cross_validate_lambda, load_model, train_model_set
-from dqml.symmat import PSD_CERT_TOL
+from dqml.pipeline import (
+    Dataset,
+    cross_validate_lambda,
+    load_model,
+    save_model,
+    train_model_set,
+)
+from dqml.qml import TrainedQuadraticMatrix
+from dqml.symmat import PSD_CERT_TOL, SymmetricMatrix
 
 from conftest import reference_train
 
@@ -93,7 +101,7 @@ class TestTrain:
         for ln in per_class:
             assert ln["converged"] is True
             assert ln["termination"] == "converged"
-            assert abs(ln["gap"]) <= 1e-5 * max(1.0, abs(ln["primal_objective"]))
+            assert abs(ln["duality_gap"]) <= 1e-5 * max(1.0, abs(ln["primal_objective"]))
             assert ln["iterations"] >= 1
             assert ln["evaluations"] >= ln["iterations"] + 1
             assert 0.0 <= ln["grad_inf_norm"] <= qml.GRAD_TOL
@@ -139,7 +147,7 @@ class TestTrain:
         model = train_model_set(ds, 0.1)
         assert [ln["class"] for ln in per_class] == [1, 2, 3]
         for ln, trained in zip(per_class, model.matrices):
-            assert {"gap", "complementary_slackness", "min_eigenvalue",
+            assert {"duality_gap", "complementary_slackness", "min_eigenvalue",
                     "termination"} <= ln.keys()
             assert ln["complementary_slackness"] == trained.report.complementary_slackness
             assert ln["min_eigenvalue"] == trained.report.min_eigenvalue
@@ -281,6 +289,18 @@ class TestEval:
             assert payload[rule]["error"] <= 0.25
             assert payload[rule]["seconds"] > 0.0
             assert payload[rule]["us_per_sample"] > 0.0
+
+    def test_all_zero_model_is_usage_error(self, trained, tmp_path, capsys):
+        data, model_path = trained
+        model = load_model(model_path)
+        zero = tuple(TrainedQuadraticMatrix(SymmetricMatrix(np.zeros((model.dim, model.dim))),
+                                            None, None) for _ in model.matrices)
+        save_model(replace(model, matrices=zero,
+                           training_features=np.zeros_like(model.training_features)),
+                   model_path)
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", str(model_path), "--data", str(data)]) == 2
+        assert "error: every class matrix is zero" in capsys.readouterr().err
 
     def test_protocol_reports_mean_and_std(self, tmp_path, capsys):
         data = write_training_csv(tmp_path / "all.csv", per_class=10)
@@ -430,12 +450,8 @@ class TestEval:
         assert payload["n"] == 40
         assert payload["max"]["error"] == payload["nn_cosine"]["error"] == 0.0
         for ln, summary in zip(per_class, payload["classes"]):
-            assert summary == {
-                "label": ln["label"], "termination": ln["termination"],
-                "iterations": ln["iterations"], "evaluations": ln["evaluations"],
-                "grad_inf_norm": ln["grad_inf_norm"], "duality_gap": ln["gap"],
-                "max_violation": ln["max_violation"],
-            }
+            assert summary.keys() == {"label", *model.summaries[0]}
+            assert summary == {k: ln[k] for k in summary}
 
     def test_version_1_model_scores_labels_1_to_c(self, trained, tmp_path, capsys):
         data, model_path = trained

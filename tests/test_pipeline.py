@@ -69,6 +69,15 @@ def identity_model(classes=2, dim=2):
     return ModelSet(mats, 1.0, feats, np.arange(1, classes + 1))
 
 
+def zero_model(classes=3, dim=2):
+    """A model whose every class matrix, and so every training feature, is zero."""
+    mats = tuple(
+        TrainedQuadraticMatrix(SymmetricMatrix(np.zeros((dim, dim))), None, None)
+        for _ in range(classes)
+    )
+    return ModelSet(mats, 1.0, np.zeros((classes, classes)), np.arange(1, classes + 1))
+
+
 def write_version(writer, path, version):
     """Write version 0 or 1 of a file with one of dqml's writers; return its path."""
     if writer == "save_model":
@@ -214,6 +223,10 @@ class TestFeatures:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             extract_features(identity_model(), np.zeros(3))
+
+    def test_all_zero_model_refused(self):
+        with pytest.raises(DegenerateFeatureError, match="every class matrix is zero"):
+            extract_features(zero_model(), np.array([1.0, 2.0]))
 
     def test_feature_vector_rejects_large_negative(self):
         with pytest.raises(InvalidInputError, match="PSD floor"):
@@ -409,6 +422,13 @@ class TestEvaluate:
         model = train_model_set(toy_dataset(), lam=0.1)
         one = Dataset(np.array([[1.0, 0.05]]), np.array([1]))
         assert evaluate(model, one, "max").error_rate == 0.0
+
+    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
+    def test_all_zero_model_refused(self, rule):
+        # Every feature would be 0: the max rule would pick class 1 for every
+        # sample and report chance error.
+        with pytest.raises(DegenerateFeatureError, match="every class matrix is zero"):
+            evaluate(zero_model(dim=3), gaussian_dataset(dim=3), rule)
 
     def test_unknown_rule(self):
         model = train_model_set(toy_dataset(), lam=0.1)
