@@ -18,7 +18,6 @@ from .errors import InvalidInputError
 from .pipeline import Dataset, _replace_file
 
 RASTER_SIZE = (32, 32)
-_LABEL_MAX = int(np.iinfo(np.int64).max)  # labels are parsed as int64
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,8 @@ def load_csv(path) -> tuple[Dataset, dict[int, int]]:
     A leading byte-order mark, blank lines and whitespace around a cell are
     skipped. Labels are positive integers, relabeled to contiguous 1..C in
     sorted order of the original values, so labels that already are 1..C
-    keep their values. The original -> new map is returned alongside the dataset.
+    keep their values. Values must be finite. The original -> new map is
+    returned alongside the dataset.
 
     The lines stream from the open file into numpy's parser, so no copy of
     the whole text is held; only the error path reads the file a second time,
@@ -79,23 +79,13 @@ def load_csv(path) -> tuple[Dataset, dict[int, int]]:
             if width < 2:
                 _raise_first_bad_row(path, fh, "need a label and a value")
             try:
-                # numpy releases that still read an i8 cell such as 1.5 through
-                # float warn with a DeprecationWarning; as an error it refuses 1.5.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    table = np.loadtxt(
-                        filter(str.strip, fh),
-                        dtype=[("label", "i8"), ("x", "f8", (width - 1,))],
-                        delimiter=",",
-                        comments=None,
-                        ndmin=1,
-                    )
+                table = _parse(filter(str.strip, fh), _row_dtype(width))
             except UnicodeDecodeError:
                 raise
-            except (ValueError, DeprecationWarning) as exc:
+            except ValueError as exc:
                 _raise_first_bad_row(path, fh, str(exc))
-            if table["label"].min() < 1:
-                _raise_first_bad_row(path, fh, "label must be positive")
+            if table["label"].min() < 1 or not np.isfinite(table["x"]).all():
+                _raise_first_bad_row(path, fh, "label below 1 or non-finite value")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
 
@@ -104,25 +94,33 @@ def load_csv(path) -> tuple[Dataset, dict[int, int]]:
     return Dataset(table["x"], labels + 1), relabel
 
 
-def _numpy_reads(cell: str, parse) -> bool:
-    """Whether np.loadtxt reads ``cell`` as ``parse`` (int or float) does.
+def _row_dtype(width: int) -> np.dtype:
+    """One CSV row of ``width`` cells: an int64 label, then width - 1 doubles."""
+    return np.dtype([("label", "i8"), ("x", "f8", (width - 1,))])
 
-    numpy's text parser takes what Python's int() and float() take, less
-    underscores between digits and non-ASCII digits.
+
+def _parse(lines, dtype) -> np.ndarray:
+    """Parse comma-separated ``lines`` with numpy, raising any warning as a ValueError.
+
+    Two warnings matter: numpy releases that still read an i8 cell such as
+    1.5 through float only give a DeprecationWarning, and an empty cell
+    parsed alone is an empty line, which numpy skips with an "input contained
+    no data" UserWarning. Either way the cell is refused.
     """
-    try:
-        parse(cell)
-    except ValueError:
-        return False
-    return "_" not in cell and cell.strip().isascii()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except Warning as exc:
+            raise ValueError(str(exc)) from None
 
 
 def _raise_first_bad_row(path, fh: TextIO, reason: str) -> NoReturn:
     """Raise the InvalidInputError that names the first malformed data line.
 
     Only load_csv's error path calls this; it reads ``fh`` again from the
-    start. ``reason`` is the error raised when no line breaks a rule checked
-    here.
+    start and hands numpy one line at a time, so the row named is the first
+    one numpy refuses. ``reason`` is the error raised when every line passes.
     """
     fh.seek(0)
     width = None
@@ -130,32 +128,30 @@ def _raise_first_bad_row(path, fh: TextIO, reason: str) -> NoReturn:
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
+        count = line.count(",") + 1
+        where = f"{path}: row {lineno}"
         if width is None:
-            width = len(cells)
+            width = count
             if width < 2:
+                raise InvalidInputError(f"{where}: need a label and at least one value")
+            dtype = _row_dtype(width)
+        elif count != width:
+            raise InvalidInputError(f"{where}: expected {width} cells, got {count}")
+        try:
+            (row,) = _parse([line], dtype)
+        except ValueError:
+            label = line.split(",", 1)[0]
+            try:
+                _parse([label], "i8")
+            except ValueError:
                 raise InvalidInputError(
-                    f"{path}: row {lineno}: need a label and at least one value"
-                )
-        elif len(cells) != width:
-            raise InvalidInputError(
-                f"{path}: row {lineno}: expected {width} cells, got {len(cells)}"
-            )
-        if not _numpy_reads(cells[0], int):
-            raise InvalidInputError(
-                f"{path}: row {lineno}: label {cells[0]!r} is not an integer"
-            )
-        label = int(cells[0])
-        if label < 1:
-            raise InvalidInputError(
-                f"{path}: row {lineno}: label must be positive, got {label}"
-            )
-        if label > _LABEL_MAX:
-            raise InvalidInputError(
-                f"{path}: row {lineno}: label {label} does not fit in 64 bits"
-            )
-        if not all(_numpy_reads(cell, float) for cell in cells[1:]):
-            raise InvalidInputError(f"{path}: row {lineno}: non-numeric value")
+                    f"{where}: label {label!r} is not an integer that fits in 64 bits"
+                ) from None
+            raise InvalidInputError(f"{where}: non-numeric value") from None
+        if row["label"] < 1:
+            raise InvalidInputError(f"{where}: label must be positive, got {row['label']}")
+        if not np.isfinite(row["x"]).all():
+            raise InvalidInputError(f"{where}: non-finite value")
     raise InvalidInputError(f"{path}: {reason}")
 
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dqml import datasets
 from dqml.datasets import (
@@ -27,6 +29,14 @@ from dqml.pipeline import Dataset
 CSV_EDGE_VALUES = [
     -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05,
     1e16, 1.7976931348623157e308, 2.0, 0.1,
+]
+
+# Cells on either side of numpy's grammar: what Python's int() or float()
+# take and numpy does not (underscores, non-ASCII digits), labels that are not
+# int64, non-finite doubles, an empty cell, and cells both accept.
+CSV_EDGE_CELLS = [
+    "1_0", "\uff11", "\u0663", "1.0", "1.5", "+1", "--1", "nan", "inf", "1e999",
+    " 2 ", "", "0x10", "1e", "\x1c1", "9223372036854775807", "9223372036854775808",
 ]
 
 
@@ -111,14 +121,17 @@ class TestCsv:
 
     def test_label_read_through_float_is_refused(self, tmp_path, monkeypatch):
         # numpy releases before the deprecation expired read an int64 cell
-        # such as 1.5 through float, truncate it and only warn.
+        # such as 1.5 through float, truncate it and only warn, and only when
+        # the rows they are given hold such a cell.
         real_loadtxt = np.loadtxt
 
         def lenient_loadtxt(rows, dtype, **kwargs):
-            warnings.warn(
-                "loadtxt(): Parsing an integer via a float is deprecated.",
-                DeprecationWarning,
-            )
+            rows = list(rows)
+            if any("1.5" in r for r in rows):
+                warnings.warn(
+                    "loadtxt(): Parsing an integer via a float is deprecated.",
+                    DeprecationWarning,
+                )
             return real_loadtxt([r.replace("1.5", "1") for r in rows], dtype, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
@@ -128,6 +141,51 @@ class TestCsv:
             warnings.simplefilter("ignore")
             with pytest.raises(InvalidInputError, match="row 2: label '1.5'"):
                 load_csv(p)
+
+    def test_non_finite_value_names_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(self.PADDED.format("2,0.5,nan"))
+        with pytest.raises(InvalidInputError, match="row 4: non-finite value"):
+            load_csv(p)
+
+    @given(
+        blank=st.sampled_from(["", "\n", "\n \t\n"]),
+        row=st.integers(0, 5),
+        column=st.integers(1, 2),
+        label=st.sampled_from(CSV_EDGE_CELLS),
+        value=st.sampled_from(CSV_EDGE_CELLS),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_loads_exactly_what_numpy_reads(self, tmp_path, blank, row, column,
+                                            label, value):
+        rows = [[str(1 + i % 3), str(0.5 * i), str(-i)] for i in range(6)]
+        rows[row][0] = label
+        rows[row][column] = value
+        text = blank + "".join(",".join(cells) + "\n" for cells in rows)
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    [line for line in text.split("\n") if line.strip()],
+                    dtype=[("label", "i8"), ("x", "f8", (2,))],
+                    delimiter=",", comments=None, ndmin=1,
+                )
+            valid = table["label"].min() >= 1 and np.isfinite(table["x"]).all()
+        except (ValueError, Warning):
+            valid = False
+        if not valid:
+            lineno = blank.count("\n") + row + 1
+            with pytest.raises(InvalidInputError, match=f": row {lineno}: "):
+                load_csv(p)
+            return
+        ds, relabel = load_csv(p)
+        assert ds.samples.tobytes() == table["x"].tobytes()
+        originals = sorted(set(table["label"].tolist()))
+        assert relabel == {lab: new for new, lab in enumerate(originals, start=1)}
+        assert ds.labels.tolist() == [relabel[lab] for lab in table["label"].tolist()]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
