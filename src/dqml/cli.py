@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -172,18 +172,7 @@ def cmd_synth(args) -> int:
     )
     ds = generate_synthetic(spec)
     save_csv(ds, args.out)
-    sidecar = write_sidecar(
-        args.out,
-        {
-            "rows": ds.n,
-            "classes": spec.class_count,
-            "dim": spec.dim,
-            "per_class": spec.per_class,
-            "separation": spec.separation,
-            "sigma": spec.sigma,
-            "seed": spec.seed,
-        },
-    )
+    sidecar = write_sidecar(args.out, {"rows": ds.n, **asdict(spec)})
     print(json.dumps({"path": args.out, "sidecar": str(sidecar), "rows": ds.n}))
     return 0
 
@@ -195,23 +184,23 @@ def _cv_folds(args) -> int:
     return args.folds or 10
 
 
-def _cv_rows(table) -> list[dict]:
-    """One JSON object per grid value of a cross_validate_lambda table."""
-    return [{"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
-             "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table]
+def _pick_lambda(args, ds, folds: int, seed: int = 0) -> tuple[float, list[dict] | None]:
+    """--lambda's one value and no table, or the value cross_validate_lambda
+    picks from the list and one JSON object per grid value."""
+    if len(args.lam) == 1:
+        return args.lam[0], None
+    lam, table = cross_validate_lambda(ds, args.lam, folds=folds, seed=seed)
+    return lam, [{"lambda": e.lam, "mean_error": e.mean_error, "unconverged": e.unconverged,
+                  "worst_grad_inf_norm": e.worst_grad_inf_norm} for e in table]
 
 
 def cmd_train(args) -> int:
     folds = _cv_folds(args)
     ds, relabel = load_csv(args.data)
 
-    lam = args.lam[0]
-    if len(args.lam) > 1:
-        lam, table = cross_validate_lambda(ds, args.lam, folds=folds)
-        print(json.dumps({
-            "selected_lambda": lam,
-            "cv": _cv_rows(table),
-        }))
+    lam, cv = _pick_lambda(args, ds, folds)
+    if cv is not None:
+        print(json.dumps({"selected_lambda": lam, "cv": cv}))
 
     model = replace(train_model_set(ds, lam), class_labels=tuple(relabel))
     save_model(model, args.out)
@@ -268,11 +257,9 @@ def cmd_protocol(args) -> int:
     lambdas, cv_tables = [], []
     for r in range(args.reps):
         train_ds, test_ds = split_random(ds, spec, r)
-        lam = args.lam[0]
-        if len(args.lam) > 1:
-            lam, table = cross_validate_lambda(train_ds, args.lam, folds=folds, seed=args.seed)
-            cv_tables.append(_cv_rows(table))
+        lam, cv = _pick_lambda(args, train_ds, folds, args.seed)
         lambdas.append(lam)
+        cv_tables.append(cv)
         model = train_model_set(train_ds, lam)
         for rule in ("max", "nn_cosine"):
             errors[rule].append(evaluate(model, test_ds, rule).error_rate)

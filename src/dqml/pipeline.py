@@ -146,7 +146,8 @@ class ModelSet:
         if y.size and (y.min() < 1 or y.max() > len(self.matrices)):
             raise InvalidInputError("training labels out of class range")
         c = len(self.matrices)
-        labels = tuple(int(v) for v in self.class_labels or range(1, c + 1))
+        labels = range(1, c + 1) if self.class_labels is None else self.class_labels
+        labels = tuple(int(v) for v in labels)
         if not len(set(labels)) == len(labels) == c or min(labels) < 1 or max(labels) >= 2**63:
             raise InvalidInputError(f"class labels must be {c} distinct integers in 1..2**63-1")
         if self.summaries is not None and len(self.summaries) != c:
@@ -438,16 +439,19 @@ def save_model(model: ModelSet, path) -> None:
 
 def _replace_file(path, chunks) -> None:
     """Write the byte chunks to path via a fresh file beside it and one rename,
-    so a failed write leaves an existing file whole and removes its own file."""
+    so a failed write leaves an existing file whole and removes its own file.
+    An OSError with a message is raised again naming path, not that file."""
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,12 @@ class TestSynth:
         assert code == 0
         assert out.exists()
         sidecar = tmp_path / "data.csv.meta"
-        assert sidecar.exists()
-        assert "seed: 3" in sidecar.read_text()
+        # The sidecar lists rows, then every SynthSpec field by its own name.
+        lines = sidecar.read_text().splitlines()
+        keys = [line.split(":")[0] for line in lines]
+        assert keys == ["rows", *(f.name for f in fields(SynthSpec))]
+        assert lines[:4] == ["rows: 8", "class_count: 2", "dim: 3", "per_class: 4"]
+        assert lines[-1] == "seed: 3"
         assert len(out.read_text().strip().splitlines()) == 8
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"path": str(out), "sidecar": str(sidecar), "rows": 8}

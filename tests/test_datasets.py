@@ -209,6 +209,10 @@ class TestCsv:
         for blob in (
             b"\xff\xfe" + "1,0.5\n2,1.5\n".encode("utf-16-le"),
             b"1,0.5\n2,1.5\n1,\xff0.5\n" + b"2,1.5\n" * 5000,
+            # Past the first read, so numpy's parser meets the bad byte:
+            # mid-file, and as the file's last byte.
+            b"1,0.5\n" * 3000 + b"2,\xff1.5\n" + b"1,0.5\n" * 5,
+            b"1,0.5\n" * 3000 + b"2,1.5\xff",
         ):
             p.write_bytes(blob)
             with pytest.raises(InvalidInputError, match=r"d\.csv: not UTF-8 text"):
@@ -351,6 +355,12 @@ class TestRaster:
         with pytest.raises(InvalidInputError, match="no class subdirectories"):
             load_raster_dir(tmp_path)
 
+    def test_file_path_is_not_a_directory(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        write_pgm(p, np.full((4, 4), 5, dtype=np.uint8))
+        with pytest.raises(InvalidInputError, match="a.pgm: not a directory"):
+            load_raster_dir(p)
+
     def test_zero_dimension_image_is_skipped(self, tmp_path):
         img = np.full((32, 32), 5, dtype=np.uint8)
         self.make_tree(tmp_path, {"a": [img, img]})
@@ -461,6 +471,10 @@ class TestSynthetic:
             SynthSpec(2, 3, 2, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             SynthSpec(2, 3, 2, -1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="dim must be at least 1"):
+            SynthSpec(2, 0, 2, 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="per_class must be at least 1"):
+            SynthSpec(2, 3, 0, 1.0, 1.0)
 
 
 class TestSplit:

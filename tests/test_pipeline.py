@@ -228,6 +228,14 @@ class TestFeatures:
         with pytest.raises(DegenerateFeatureError, match="every class matrix is zero"):
             extract_features(zero_model(), np.array([1.0, 2.0]))
 
+    def test_non_finite_sample_refused(self):
+        with pytest.raises(InvalidInputError, match="sample has non-finite entries"):
+            extract_features(identity_model(), np.array([1.0, np.nan]))
+
+    def test_feature_vector_must_be_1d(self):
+        with pytest.raises(InvalidInputError, match="must be 1-d and nonempty"):
+            FeatureVector(np.ones((2, 2)))
+
     def test_feature_vector_rejects_large_negative(self):
         with pytest.raises(InvalidInputError, match="PSD floor"):
             FeatureVector(np.array([0.5, -1e-6]))
@@ -265,6 +273,10 @@ class TestClassifyNnCosine:
     def test_zero_query_rejected(self):
         with pytest.raises(DegenerateFeatureError, match="zero norm"):
             classify_nn_cosine(FeatureVector(np.zeros(2)), identity_model())
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="has 3 components, model has 2 classes"):
+            classify_nn_cosine(FeatureVector(np.ones(3)), identity_model())
 
     def test_zero_norm_training_column_cannot_win(self):
         mats = tuple(
@@ -435,6 +447,12 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match="rule"):
             evaluate(model, toy_dataset(), "cosine")
 
+    def test_labels_past_the_model_refused(self):
+        model = train_model_set(toy_dataset(), lam=0.1)
+        past = Dataset(np.ones((2, 2)), np.array([1, 3]))
+        with pytest.raises(InvalidInputError, match="test labels reach class 3, model has 2"):
+            evaluate(model, past, "max")
+
     def test_dimension_mismatch(self):
         model = train_model_set(toy_dataset(), lam=0.1)
         bad = Dataset(np.ones((2, 3)), np.array([1, 2]))
@@ -571,6 +589,15 @@ class TestModelFile:
         write_version(writer, tmp_path / "f", 1)
         assert target.read_bytes() != old
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("writer", ["save_model", "save_csv", "write_sidecar"])
+    def test_failed_write_names_the_target(self, writer, tmp_path):
+        # The error names the file asked for, not the temporary file beside it.
+        target = tmp_path / "missing" / ("f.meta" if writer == "write_sidecar" else "f")
+        with pytest.raises(FileNotFoundError) as info:
+            write_version(writer, tmp_path / "missing" / "f", 1)
+        assert info.value.filename == str(target)
+        assert ".tmp" not in str(info.value)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.dqml"
@@ -714,12 +741,29 @@ class TestModelFile:
     def test_class_labels_are_checked(self):
         model = identity_model()
         args = (model.matrices, 1.0, model.training_features, model.training_labels)
-        for labels in ((3, 3), (1,), (0, 1), (1, 2**63)):
-            with pytest.raises(InvalidInputError, match="class labels"):
+        for labels in ((3, 3), (1,), (0, 1), (1, 2**63), ()):
+            with pytest.raises(InvalidInputError, match="class labels must be 2 distinct integers"):
                 ModelSet(*args, labels)
         ModelSet(*args, (1, 2**63 - 1))  # the largest label a model file holds
+        assert ModelSet(*args, np.array([5, 7])).class_labels == (5, 7)
         with pytest.raises(InvalidInputError, match="solve summaries"):
             ModelSet(*args, (1, 2), ({},))
+
+    @pytest.mark.parametrize("change, match", [
+        ({"matrices": ()}, "at least one class matrix"),
+        ({"matrices": identity_model(dim=3).matrices[:1] + identity_model().matrices[:1]},
+         r"disagree on dimension: \[2, 3\]"),
+        ({"lam": 0.0}, "lam must be positive and finite"),
+        ({"lam": float("nan")}, "lam must be positive and finite"),
+        ({"training_features": np.ones((3, 2))}, r"must be \(classes, samples\)"),
+        ({"training_labels": np.array([1, 2, 2])}, "one training label per feature column"),
+        ({"training_labels": np.array([1.0, 2.0])}, "training labels must be integers"),
+        ({"training_labels": np.array([1, 3])}, "training labels out of class range"),
+    ], ids=["no_matrices", "two_dimensions", "zero_lam", "nan_lam", "features_not_c_by_n",
+            "label_count", "float_labels", "label_past_c"])
+    def test_bad_fields_are_refused(self, change, match):
+        with pytest.raises(InvalidInputError, match=match):
+            replace(identity_model(), **change)
 
     @pytest.mark.parametrize("change, match", [
         ({"iterations": None}, "class 2: .*KeyError"),

@@ -120,6 +120,12 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             DualVariables(np.array([0.5, -0.1]))
 
+    def test_dual_variables_reject_2d_and_nonfinite(self):
+        with pytest.raises(InvalidInputError, match="must be 1-d"):
+            DualVariables(np.ones((2, 2)))
+        with pytest.raises(InvalidInputError, match="dual variables have non-finite entries"):
+            DualVariables(np.array([0.5, np.nan]))
+
 
 class TestBuildScatter:
     def test_two_samples(self):
@@ -134,6 +140,12 @@ class TestBuildScatter:
         for shape in ((0, 0), (5, 0)):
             with pytest.raises(InvalidInputError, match="dimension"):
                 build_scatter(np.ones(shape))
+
+    def test_rejects_1d_and_nonfinite(self):
+        with pytest.raises(InvalidInputError, match="expected a 2-d sample array"):
+            build_scatter(np.ones(3))
+        with pytest.raises(InvalidInputError, match="samples have non-finite entries"):
+            build_scatter(np.array([[1.0, np.nan]]))
 
     def test_permutation_gives_bit_identical_result(self):
         rng = np.random.default_rng(7)
@@ -222,6 +234,10 @@ class TestSolver:
         short = DualVariables(trained.dual.values[:-1])
         with pytest.raises(InvalidInputError, match="expected 10 dual variables"):
             kkt_report(prob, short, trained.matrix)
+
+    def test_dual_objective_rejects_nan_point(self):
+        with pytest.raises(InvalidInputError, match="dual variables have non-finite entries"):
+            dual_objective(single_axis_problem(), np.array([np.nan]))
 
     def test_dual_objective_does_not_fall_with_more_iterations(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -553,3 +569,9 @@ class TestPrimalRecovery:
         vals = constraint_values(prob, p)
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(1.0)
+
+    def test_matrix_of_the_wrong_dimension_rejected(self):
+        p = SymmetricMatrix(np.eye(3))
+        for fn in (primal_objective, constraint_values):
+            with pytest.raises(InvalidInputError, match="matrix is 3-dimensional, problem is 2"):
+                fn(single_axis_problem(), p)
