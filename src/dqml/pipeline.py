@@ -146,10 +146,13 @@ class ModelSet:
         if y.size and (y.min() < 1 or y.max() > len(self.matrices)):
             raise InvalidInputError("training labels out of class range")
         c = len(self.matrices)
-        labels = range(1, c + 1) if self.class_labels is None else self.class_labels
-        labels = tuple(int(v) for v in labels)
-        if not len(set(labels)) == len(labels) == c or min(labels) < 1 or max(labels) >= 2**63:
+        labels = range(1, c + 1) if self.class_labels is None else tuple(self.class_labels)
+        # A bool or a float label would otherwise pass through int() silently.
+        if (any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in labels)
+                or not len(set(labels)) == len(labels) == c
+                or min(labels) < 1 or max(labels) >= 2**63):
             raise InvalidInputError(f"class labels must be {c} distinct integers in 1..2**63-1")
+        labels = tuple(int(v) for v in labels)
         if self.summaries is not None and len(self.summaries) != c:
             raise InvalidInputError(f"a model of {c} classes needs {c} solve summaries")
         _summary_rows(self.summaries, c)
@@ -464,8 +467,7 @@ def load_model(path) -> ModelSet:
     (1..C), the original label of each class C x i64, the solve summary of
     each class C x (termination, iterations, evaluations u32; grad_inf_norm,
     duality_gap, max_violation f64), CRC32 u32 of all preceding bytes.
-    Version 1 files end after the training labels; they load with class
-    labels 1..C and no summaries. Loaded matrices carry no solve diagnostics.
+    Any other version is refused. Loaded matrices carry no solve diagnostics.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -474,10 +476,10 @@ def load_model(path) -> ModelSet:
     if len(blob) < 8:
         raise ModelTruncatedError("model file ends inside the header")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model format version {version} is not supported "
-            f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
+            f"(this build reads version {MODEL_FORMAT_VERSION}); re-train it with this build"
         )
     header_len = 24  # magic, version, m, C, lam
     if len(blob) < header_len:
@@ -494,7 +496,7 @@ def load_model(path) -> ModelSet:
         raise ModelTruncatedError("model file ends inside the matrix payload")
     (n,) = struct.unpack_from("<I", blob, n_offset)
     class_labels_offset = n_offset + 4 + 8 * c * n + 4 * n
-    total = class_labels_offset + (8 + _SUMMARY.itemsize) * c * (version == 2) + 4
+    total = class_labels_offset + (8 + _SUMMARY.itemsize) * c + 4
     if len(blob) < total:
         raise ModelTruncatedError(
             f"model file ends {total - len(blob)} bytes early"
@@ -508,15 +510,14 @@ def load_model(path) -> ModelSet:
     mats = np.frombuffer(blob, "<f8", c * m * m, header_len).reshape(c, m, m)
     features = np.frombuffer(blob, "<f8", c * n, n_offset + 4).reshape(c, n)
     labels = np.frombuffer(blob, "<u4", n, n_offset + 4 + 8 * c * n).astype(np.int64)
-    class_labels = summaries = None
-    if version == 2:
-        class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
-        rows = np.frombuffer(blob, _SUMMARY, c, class_labels_offset + 8 * c).tolist()
-        if any(r[0] >= len(_TERMINATIONS) for r in rows):
-            raise ModelFormatError("unknown termination code in a class summary")
-        if any(r[0] for r in rows):
-            summaries = tuple(dict(zip(_SUMMARY.names, (_TERMINATIONS[r[0]], *r[1:])))
-                              for r in rows)
+    class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
+    rows = np.frombuffer(blob, _SUMMARY, c, class_labels_offset + 8 * c).tolist()
+    if any(r[0] >= len(_TERMINATIONS) for r in rows):
+        raise ModelFormatError("unknown termination code in a class summary")
+    summaries = None
+    if any(r[0] for r in rows):
+        summaries = tuple(dict(zip(_SUMMARY.names, (_TERMINATIONS[r[0]], *r[1:])))
+                          for r in rows)
     return ModelSet(
         matrices=tuple(TrainedQuadraticMatrix(SymmetricMatrix(p), None, None) for p in mats),
         lam=lam,

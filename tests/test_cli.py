@@ -457,21 +457,6 @@ class TestEval:
             assert summary.keys() == {"label", *model.summaries[0]}
             assert summary == {k: ln[k] for k in summary}
 
-    def test_version_1_model_scores_labels_1_to_c(self, trained, tmp_path, capsys):
-        data, model_path = trained
-        blob = model_path.read_bytes()
-        model = load_model(model_path)
-        # A version 1 file is the version 2 layout without the class labels
-        # and summaries that precede the CRC32.
-        payload = b"DQML" + struct.pack("<I", 1) + blob[8 : -4 - 44 * model.class_count]
-        v1 = tmp_path / "v1.dqml"
-        v1.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
-        capsys.readouterr()
-        assert run_cli(["eval", "--model", str(v1), "--data", str(data)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["classes"] == [{"label": 1}, {"label": 2}]
-        assert payload["max"]["error"] <= 0.25
-
     def test_invalid_utf8_after_valid_rows_is_usage_error(self, trained, tmp_path, capsys):
         _, model_path = trained
         data = tmp_path / "late.csv"
@@ -480,13 +465,21 @@ class TestEval:
         assert run_cli(["eval", "--model", str(model_path), "--data", str(data)]) == 2
         assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_corrupt_model_is_usage_error(self, trained, tmp_path):
+    def test_corrupt_model_is_usage_error(self, trained, tmp_path, capsys):
         data, model_path = trained
-        blob = bytearray(model_path.read_bytes())
-        blob[0] = ord("X")
+        blob = model_path.read_bytes()
+        c = load_model(model_path).class_count
+        # A version 1 file, which earlier builds wrote, is the version 2 layout
+        # without the class labels and summaries that precede the CRC32.
+        v1 = b"DQML" + struct.pack("<I", 1) + blob[8 : -4 - 44 * c]
         bad = tmp_path / "bad.dqml"
-        bad.write_bytes(bytes(blob))
-        assert run_cli(["eval", "--model", str(bad), "--data", str(data)]) == 2
+        for payload, message in ((b"X" + blob[1:], "bad magic bytes"),
+                                 (v1 + struct.pack("<I", zlib.crc32(v1)),
+                                  "version 1 is not supported (this build reads version 2)")):
+            bad.write_bytes(payload)
+            capsys.readouterr()
+            assert run_cli(["eval", "--model", str(bad), "--data", str(data)]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestDiagnose:
