@@ -1,8 +1,7 @@
 """Dataset ingestion and synthesis.
 
-CSV loading with contiguous relabeling, a minimal grayscale raster reader
-(PGM, binary or ASCII) with bilinear resize to fixed-size vectors, synthetic
-Gaussian class generators, and the repeated random train/test split protocol.
+CSV loading with contiguous relabeling, synthetic Gaussian class generators,
+and the repeated random train/test split protocol.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .errors import InvalidInputError
-from .pipeline import Dataset, _replace_file
-
-RASTER_SIZE = (32, 32)
+from .pipeline import Dataset, _is_number, _replace_file
 
 
 @dataclass(frozen=True)
@@ -28,8 +25,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.per_class_train < 1:
-            raise InvalidInputError("per_class_train must be at least 1")
+        if not (_is_number(self.per_class_train) and self.per_class_train >= 1):
+            raise InvalidInputError(
+                f"per_class_train must be an integer of at least 1, got {self.per_class_train!r}"
+            )
+        if not (_is_number(self.seed) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.class_count < 1:
-            raise InvalidInputError("class_count must be at least 1")
-        if self.dim < 1:
-            raise InvalidInputError("dim must be at least 1")
-        if self.per_class < 1:
-            raise InvalidInputError("per_class must be at least 1")
+        for name in ("class_count", "dim", "per_class"):
+            count = getattr(self, name)
+            if not (_is_number(count) and count >= 1):
+                raise InvalidInputError(f"{name} must be an integer of at least 1, got {count!r}")
+        if not (_is_number(self.seed) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (np.isfinite(self.separation) and self.separation >= 0):
             raise InvalidInputError("separation must be nonnegative and finite")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
@@ -181,121 +182,6 @@ def write_sidecar(csv_path, entries: dict) -> Path:
     text = "".join(f"{key}: {value}\n" for key, value in entries.items())
     _replace_file(sidecar, [text.encode()])
     return sidecar
-
-
-def _read_pgm(path) -> tuple[np.ndarray, int]:
-    """Decode an 8-bit PGM (P5 binary or P2 ASCII) into a float array of its
-    raw pixel values and the maxval its header declares."""
-    blob = Path(path).read_bytes()
-
-    # Header tokens are whitespace-separated with '#' comments to end of line.
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(blob):
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            nl = blob.find(b"\n", pos)
-            pos = len(blob) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end : end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end])
-            pos = end
-    if len(tokens) < 4:
-        raise InvalidInputError(f"{path}: incomplete raster header")
-    magic = tokens[0]
-    if magic not in (b"P5", b"P2"):
-        raise InvalidInputError(f"{path}: not a supported raster format")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise InvalidInputError(f"{path}: malformed raster header") from None
-    if width < 1 or height < 1:
-        raise InvalidInputError(f"{path}: zero-dimension image")
-    if not 1 <= maxval <= 255:
-        raise InvalidInputError(f"{path}: only 8-bit rasters are supported")
-
-    if magic == b"P5":
-        pos += 1  # single whitespace byte after maxval
-        data = blob[pos : pos + width * height]
-        if len(data) < width * height:
-            raise InvalidInputError(f"{path}: pixel data ends early")
-        pixels = np.frombuffer(data, dtype=np.uint8).astype(float)
-    else:
-        try:
-            flat = [int(t) for t in blob[pos:].split()]
-        except ValueError:
-            raise InvalidInputError(f"{path}: non-integer ASCII pixel") from None
-        if len(flat) < width * height:
-            raise InvalidInputError(f"{path}: pixel data ends early")
-        pixels = np.array(flat[: width * height], dtype=float)
-    if pixels.max(initial=0.0) > maxval:
-        raise InvalidInputError(f"{path}: pixel value exceeds declared maximum")
-    return pixels.reshape(height, width), maxval
-
-
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned bilinear resample; identity when sizes already match."""
-    image = np.asarray(image, dtype=float)
-    in_h, in_w = image.shape
-
-    def axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, src - lo
-
-    y0, y1, wy = axis_coords(in_h, out_h)
-    x0, x1, wx = axis_coords(in_w, out_w)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    top = image[np.ix_(y0, x0)] * (1 - wx) + image[np.ix_(y0, x1)] * wx
-    bottom = image[np.ix_(y1, x0)] * (1 - wx) + image[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
-
-
-def load_raster_dir(root) -> tuple[Dataset, int, dict[str, int]]:
-    """Ingest ``root/<class-name>/<images>`` into RASTER_SIZE [0,1] vectors.
-
-    Each image is resized, then divided by the maxval of its own header, so
-    white is 1.0 at any bit depth.
-
-    Class names map to indices 1..C in sorted order. Unreadable files are
-    skipped; the number skipped is returned so callers can warn. A class
-    whose directory yields no usable image invalidates the dataset.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise InvalidInputError(f"{root}: not a directory")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not class_dirs:
-        raise InvalidInputError(f"{root}: no class subdirectories")
-
-    out_h, out_w = RASTER_SIZE
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    skipped = 0
-    class_map: dict[str, int] = {}
-    for index, cdir in enumerate(class_dirs, start=1):
-        class_map[cdir.name] = index
-        loaded = 0
-        for f in sorted(p for p in cdir.iterdir() if p.is_file()):
-            try:
-                img, maxval = _read_pgm(f)
-            except (InvalidInputError, OSError):
-                skipped += 1
-                continue
-            vec = bilinear_resize(img, out_h, out_w).reshape(-1) / maxval
-            rows.append(vec)
-            labels.append(index)
-            loaded += 1
-        if loaded == 0:
-            raise InvalidInputError(f"{cdir}: class directory has no usable image")
-    return Dataset(np.vstack(rows), np.array(labels)), skipped, class_map
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:

@@ -44,6 +44,15 @@ _SUMMARY = np.dtype([("termination", "<u4"), ("iterations", "<u4"), ("evaluation
 _TERMINATIONS = (None, "converged", "max_iterations", "line_search_failed")
 
 
+def _is_number(value, kind=numbers.Integral) -> bool:
+    """Whether ``value`` is a ``kind`` (an integer by default) and not a bool.
+
+    Python counts True as the integer 1, but no count, seed, label or solve
+    summary field means a bool. numpy integers and floats pass as Python's do.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled samples: one row per sample, labels in 1..C; a class may have none."""
@@ -148,7 +157,7 @@ class ModelSet:
         c = len(self.matrices)
         labels = range(1, c + 1) if self.class_labels is None else tuple(self.class_labels)
         # A bool or a float label would otherwise pass through int() silently.
-        if (any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in labels)
+        if (not all(_is_number(v) for v in labels)
                 or not len(set(labels)) == len(labels) == c
                 or min(labels) < 1 or max(labels) >= 2**63):
             raise InvalidInputError(f"class labels must be {c} distinct integers in 1..2**63-1")
@@ -363,8 +372,10 @@ def cross_validate_lambda(
         raise InvalidInputError("lambda grid values must be positive and finite")
     if len(set(grid)) < len(grid):
         raise InvalidInputError(f"lambda grid {grid} repeats a value")
-    if folds < 2:
-        raise InvalidInputError("folds must be at least 2")
+    if not (_is_number(folds) and folds >= 2):
+        raise InvalidInputError(f"folds must be an integer of at least 2, got {folds!r}")
+    if not (_is_number(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
     # Checked before the fold loop, which a huge count would never end. When
     # some class has at least `folds` samples, every fold gets a validation sample.
@@ -410,7 +421,7 @@ def _summary_rows(summaries, c: int) -> np.ndarray:
             for k in _SUMMARY.names[1:]:
                 kind, what = ((numbers.Integral, "an integer") if _SUMMARY[k].kind == "u"
                               else (numbers.Real, "a real number"))
-                if isinstance(s[k], bool) or not isinstance(s[k], kind):
+                if not _is_number(s[k], kind):
                     raise TypeError(f"{k} must be {what}")
             rows[i] = (_TERMINATIONS.index(s["termination"]),
                        *(s[k] for k in _SUMMARY.names[1:]))

@@ -1,5 +1,5 @@
-"""Dataset ingestion tests: CSV parsing and relabeling, the PGM reader and
-bilinear resize, synthetic generators, and the split protocol."""
+"""Dataset ingestion tests: CSV parsing and relabeling, synthetic generators,
+and the split protocol."""
 
 import tracemalloc
 import warnings
@@ -9,14 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dqml import datasets
 from dqml.datasets import (
     SplitSpec,
     SynthSpec,
-    bilinear_resize,
     generate_synthetic,
     load_csv,
-    load_raster_dir,
     save_csv,
     split_random,
     write_sidecar,
@@ -292,149 +289,6 @@ class TestCsv:
         assert side.read_text() == "rows: 4\nseed: 7\n"
 
 
-def write_pgm(path, array, ascii_format=False, maxval=255):
-    h, w = array.shape
-    if ascii_format:
-        body = "\n".join(" ".join(str(int(v)) for v in row) for row in array)
-        path.write_text(f"P2\n{w} {h}\n{maxval}\n{body}\n")
-    else:
-        header = f"P5\n{w} {h}\n{maxval}\n".encode()
-        path.write_bytes(header + array.astype(np.uint8).tobytes())
-
-
-class TestRaster:
-    def make_tree(self, root, images):
-        for cls, arrays in images.items():
-            d = root / cls
-            d.mkdir(parents=True)
-            for i, arr in enumerate(arrays):
-                write_pgm(d / f"{i}.pgm", arr)
-
-    def test_native_size_is_raw_pixels(self, tmp_path):
-        img = np.arange(32 * 32, dtype=np.uint8).reshape(32, 32) % 251
-        self.make_tree(tmp_path, {"a": [img], "b": [img]})
-        ds, skipped, cmap = load_raster_dir(tmp_path)
-        assert skipped == 0
-        assert cmap == {"a": 1, "b": 2}
-        assert np.allclose(ds.samples[0], img.reshape(-1) / 255.0)
-
-    def test_constant_image_any_size(self, tmp_path):
-        img = np.full((64, 64), 37, dtype=np.uint8)
-        self.make_tree(tmp_path, {"only": [img, img]})
-        ds, _, _ = load_raster_dir(tmp_path)
-        assert ds.dim == 1024
-        assert np.allclose(ds.samples, 37.0 / 255.0)
-
-    def test_ascii_variant(self, tmp_path):
-        d = tmp_path / "c1"
-        d.mkdir()
-        img = np.full((32, 32), 10)
-        write_pgm(d / "x.pgm", img, ascii_format=True)
-        (tmp_path / "c2").mkdir()
-        write_pgm(tmp_path / "c2" / "y.pgm", img)
-        ds, skipped, _ = load_raster_dir(tmp_path)
-        assert skipped == 0
-        assert np.allclose(ds.samples, 10.0 / 255.0)
-
-    def test_bad_file_is_skipped_with_warning(self, tmp_path):
-        img = np.full((32, 32), 5, dtype=np.uint8)
-        self.make_tree(tmp_path, {"a": [img], "b": [img]})
-        (tmp_path / "a" / "junk.pgm").write_bytes(b"not a raster")
-        ds, skipped, _ = load_raster_dir(tmp_path)
-        assert skipped == 1
-        assert ds.n == 2
-
-    def test_empty_class_dir_is_invalid(self, tmp_path):
-        img = np.full((32, 32), 5, dtype=np.uint8)
-        self.make_tree(tmp_path, {"a": [img]})
-        (tmp_path / "b").mkdir()
-        with pytest.raises(InvalidInputError, match="no usable image"):
-            load_raster_dir(tmp_path)
-
-    def test_no_class_dirs(self, tmp_path):
-        with pytest.raises(InvalidInputError, match="no class subdirectories"):
-            load_raster_dir(tmp_path)
-
-    def test_file_path_is_not_a_directory(self, tmp_path):
-        p = tmp_path / "a.pgm"
-        write_pgm(p, np.full((4, 4), 5, dtype=np.uint8))
-        with pytest.raises(InvalidInputError, match="a.pgm: not a directory"):
-            load_raster_dir(p)
-
-    def test_zero_dimension_image_is_skipped(self, tmp_path):
-        img = np.full((32, 32), 5, dtype=np.uint8)
-        self.make_tree(tmp_path, {"a": [img, img]})
-        (tmp_path / "a" / "zz.pgm").write_bytes(b"P5\n0 4\n255\n")
-        _, skipped, _ = load_raster_dir(tmp_path)
-        assert skipped == 1
-
-    def test_header_comments_are_skipped(self, tmp_path):
-        img = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
-        plain, commented = tmp_path / "plain.pgm", tmp_path / "commented.pgm"
-        write_pgm(plain, img)
-        commented.write_bytes(
-            b"P5\n# written by a scanner\n4 3\n#  second comment\n255\n" + img.tobytes()
-        )
-        expected, maxval = datasets._read_pgm(plain)
-        assert np.array_equal(expected, img.astype(float)) and maxval == 255
-        again, maxval = datasets._read_pgm(commented)
-        assert np.array_equal(again, expected) and maxval == 255
-
-    @pytest.mark.parametrize("blob, message", [
-        (b"P6\n2 2\n255\n" + bytes(12), "not a supported raster format"),
-        (b"P5\n2 x\n255\n" + bytes(4), "malformed raster header"),
-        (b"P5\n2 2\n65535\n" + bytes(8), "only 8-bit rasters"),
-        (b"P5\n2 2\n255\n" + bytes(3), "pixel data ends early"),
-        (b"P2\n2 2\n255\n1 2 x 4\n", "non-integer ASCII pixel"),
-        (b"P2\n2 2\n255\n1 2 3\n", "pixel data ends early"),
-        (b"P2\n2 2\n10\n1 2 3 11\n", "pixel value exceeds declared maximum"),
-    ])
-    def test_read_pgm_refusals(self, blob, message, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(blob)
-        with pytest.raises(InvalidInputError, match=message):
-            datasets._read_pgm(path)
-
-    def test_each_image_is_scaled_by_its_own_maxval(self, tmp_path):
-        # The same 4-bit image at maxval 15 (values v) and at maxval 255
-        # (values 17v): white is 1.0 in both, and v/15 and 17v/255 round to
-        # the same double. At 32x32 the resize is the identity.
-        rng = np.random.default_rng(2)
-        img = rng.integers(0, 16, size=(32, 32))
-        img[0, 0] = 15
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        write_pgm(tmp_path / "a" / "x.pgm", img, maxval=15)
-        write_pgm(tmp_path / "b" / "x.pgm", 17 * img, maxval=255)
-        ds, skipped, _ = load_raster_dir(tmp_path)
-        assert skipped == 0
-        assert np.array_equal(ds.samples[0], ds.samples[1])
-        assert ds.samples[0].max() == 1.0
-
-    def test_values_lie_in_unit_interval(self, tmp_path):
-        rng = np.random.default_rng(0)
-        img = rng.integers(0, 256, size=(48, 40)).astype(np.uint8)
-        self.make_tree(tmp_path, {"a": [img]})
-        ds, _, _ = load_raster_dir(tmp_path)
-        assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
-
-
-class TestBilinear:
-    def test_identity_at_same_size(self):
-        rng = np.random.default_rng(1)
-        img = rng.uniform(size=(7, 5))
-        assert np.array_equal(bilinear_resize(img, 7, 5), img)
-
-    def test_constant_preserved(self):
-        img = np.full((6, 9), 3.7)
-        assert np.allclose(bilinear_resize(img, 13, 4), 3.7)
-
-    def test_ramp_upsample(self):
-        img = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = bilinear_resize(img, 2, 4)
-        assert np.allclose(out[0], [0.0, 0.25, 0.75, 1.0])
-
-
 class TestSynthetic:
     def test_shape_and_labels(self):
         ds = generate_synthetic(SynthSpec(3, 5, 4, separation=2.0, sigma=1.0, seed=0))
@@ -471,10 +325,23 @@ class TestSynthetic:
             SynthSpec(2, 3, 2, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             SynthSpec(2, 3, 2, -1.0, 1.0)
-        with pytest.raises(InvalidInputError, match="dim must be at least 1"):
+        with pytest.raises(InvalidInputError, match="dim must be an integer of at least 1"):
             SynthSpec(2, 0, 2, 1.0, 1.0)
-        with pytest.raises(InvalidInputError, match="per_class must be at least 1"):
+        with pytest.raises(InvalidInputError, match="per_class must be an integer of at least 1"):
             SynthSpec(2, 3, 0, 1.0, 1.0)
+        # A bool or a float count, and a negative seed, are refused when the
+        # spec is built, not later by numpy.
+        for counts, name in [((2.0, 3, 4), "class_count"), ((True, 3, 4), "class_count"),
+                             ((2, 3.5, 4), "dim"), ((2, 3, False), "per_class")]:
+            with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+                SynthSpec(*counts, 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+            SynthSpec(2, 3, 4, 1.0, 1.0, seed=-1)
+        with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+            SynthSpec(2, 3, 4, 1.0, 1.0, seed=0.5)
+        # numpy integers are integers.
+        assert generate_synthetic(SynthSpec(np.int64(2), 3, np.int32(4), 1.0, 1.0,
+                                            seed=np.uint8(1))).n == 8
 
 
 class TestSplit:
@@ -529,3 +396,12 @@ class TestSplit:
     def test_rejects_bad_spec(self):
         with pytest.raises(InvalidInputError):
             SplitSpec(per_class_train=0)
+        # True would train one sample per class, 2.5 fail later in a slice.
+        for count in (True, 2.5, np.float64(2.0)):
+            with pytest.raises(InvalidInputError, match="per_class_train must be an integer"):
+                SplitSpec(count)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+                SplitSpec(2, seed=seed)
+        tr, _ = split_random(self.base(), SplitSpec(np.int64(2), seed=np.int64(5)), 0)
+        assert tr.n == 6

@@ -357,6 +357,14 @@ class TestCrossValidation:
             cross_validate_lambda(ds, [1.0], folds=1)
         with pytest.raises(InvalidInputError, match="repeats a value"):
             cross_validate_lambda(ds, [0.3, 1, 1.0], folds=2)
+        for folds in (2.5, True, np.float64(2.0)):
+            with pytest.raises(InvalidInputError, match="folds must be an integer"):
+                cross_validate_lambda(ds, [1.0], folds=folds)
+        for seed in (-1, 0.5, True):
+            with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+                cross_validate_lambda(ds, [1.0], folds=3, seed=seed)
+        lam, _ = cross_validate_lambda(ds, [1.0], folds=np.int64(2), seed=np.uint8(3))
+        assert lam == 1.0
 
     def test_all_classes_too_small(self):
         ds = gaussian_dataset(per_class=3)
