@@ -315,8 +315,8 @@ def cmd_diagnose(args) -> int:
         record(i, "gradient_fd_rel_error", rel, FD_TOL)
 
         rep = solve_dual(prob).report
-        record(i, "duality_gap", abs(rep.duality_gap),
-               GAP_TOL * max(1.0, abs(rep.primal_objective)))
+        record(i, "suboptimality", rep.suboptimality,
+               GAP_TOL * max(1.0, abs(rep.dual_objective)))
         record(i, "feasibility_violation", rep.max_violation, VIOLATION_TOL)
         record(i, "complementary_slackness", rep.complementary_slackness, SLACKNESS_TOL)
         record(i, "negative_eigenvalue", max(0.0, -rep.min_eigenvalue), PSD_CERT_TOL)

@@ -6,6 +6,7 @@ and the repeated random train/test split protocol.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +15,8 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .errors import InvalidInputError
-from .pipeline import Dataset, _is_number, _replace_file
+from .pipeline import Dataset, _replace_file
+from .qml import _is_number
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,9 @@ class SynthSpec:
                 raise InvalidInputError(f"{name} must be an integer of at least 1, got {count!r}")
         if not (_is_number(self.seed) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (np.isfinite(self.separation) and self.separation >= 0):
+        if not (_is_number(self.separation, numbers.Real) and 0 <= self.separation < np.inf):
             raise InvalidInputError("separation must be nonnegative and finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (_is_number(self.sigma, numbers.Real) and 0 < self.sigma < np.inf):
             raise InvalidInputError("sigma must be positive and finite")
 
 
@@ -215,6 +217,8 @@ def split_random(
     The draw is a pure function of (spec.seed, repetition). Row order of the
     originals is preserved within each side of the split.
     """
+    if not (_is_number(repetition) and repetition >= 0):
+        raise InvalidInputError(f"repetition must be a non-negative integer, got {repetition!r}")
     k = spec.per_class_train
     rng = np.random.default_rng([spec.seed, repetition])
     train = np.zeros(ds.n, dtype=bool)

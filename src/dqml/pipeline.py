@@ -8,6 +8,8 @@ directly or runs cosine nearest-neighbor against the training features.
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 import os
 import struct
@@ -30,27 +32,20 @@ from .errors import (
 from .qml import (
     ClassProblem,
     TrainedQuadraticMatrix,
+    _is_number,
     build_scatter,
     solve_dual,
 )
-from .symmat import SymmetricMatrix, quad_forms
+from .symmat import SymmetricMatrix
 
 MODEL_MAGIC = b"DQML"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 FEATURE_FLOOR = -1e-8
 # One class's solve summary in a model file; termination indexes _TERMINATIONS.
 _SUMMARY = np.dtype([("termination", "<u4"), ("iterations", "<u4"), ("evaluations", "<u4"),
-                     ("grad_inf_norm", "<f8"), ("duality_gap", "<f8"), ("max_violation", "<f8")])
+                     ("grad_inf_norm", "<f8"), ("duality_gap", "<f8"), ("max_violation", "<f8"),
+                     ("suboptimality", "<f8")])
 _TERMINATIONS = (None, "converged", "max_iterations", "line_search_failed")
-
-
-def _is_number(value, kind=numbers.Integral) -> bool:
-    """Whether ``value`` is a ``kind`` (an integer by default) and not a bool.
-
-    Python counts True as the integer 1, but no count, seed, label or solve
-    summary field means a bool. numpy integers and floats pass as Python's do.
-    """
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,11 @@ class ModelSet:
     def __post_init__(self) -> None:
         if len(self.matrices) < 1:
             raise InvalidInputError("a model needs at least one class matrix")
-        dims = {t.matrix.dim for t in self.matrices}
+        dims = {t.factor.shape[0] for t in self.matrices}
         if len(dims) != 1:
             raise InvalidInputError(f"class matrices disagree on dimension: {sorted(dims)}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InvalidInputError(f"lam must be positive and finite, got {self.lam}")
+        if not (_is_number(self.lam, numbers.Real) and 0 < self.lam < np.inf):
+            raise InvalidInputError(f"lam must be positive and finite, got {self.lam!r}")
         f = np.array(self.training_features, dtype=float, copy=True)
         y = np.array(self.training_labels, copy=True)
         if f.ndim != 2 or f.shape[0] != len(self.matrices):
@@ -179,7 +174,7 @@ class ModelSet:
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].matrix.dim
+        return self.matrices[0].factor.shape[0]
 
 
 def build_class_problem(ds: Dataset, c: int, lam: float) -> ClassProblem:
@@ -198,11 +193,12 @@ def build_class_problem(ds: Dataset, c: int, lam: float) -> ClassProblem:
 
 
 def _feature_matrix(matrices, x: np.ndarray) -> np.ndarray:
-    """(n, C) feature matrix: entry (i, c) is x_i^T P_c x_i. A model whose every
+    """(n, C) feature matrix: entry (i, c) is x_i^T P_c x_i = ||W_c^T x_i||^2,
+    the row sums of (X W_c)^2 for the factor W_c of P_c. A model whose every
     class matrix is zero gives every sample zero features and is refused."""
-    if not any(t.matrix.entries.any() for t in matrices):
+    if not any(t.factor.any() for t in matrices):
         raise DegenerateFeatureError("every class matrix is zero")
-    f = np.stack([quad_forms(t.matrix.entries, x) for t in matrices], axis=1)
+    f = np.stack([np.einsum("ij,ij->i", y, y) for y in (x @ t.factor for t in matrices)], axis=1)
     _check_features(f)
     return f
 
@@ -250,7 +246,7 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
             trained.append(solve_dual(build_class_problem(ds, c, lam)))
         except (InfeasibleProblemError, InvalidInputError) as exc:
             raise type(exc)(f"class {c}: {exc}") from exc
-    if not any(t.matrix.entries.any() for t in trained):
+    if not any(t.factor.any() for t in trained):
         raise NumericalFailureError("every class matrix is zero; the dual solver stalled")
     features = _feature_matrix(trained, ds.samples)
     return ModelSet(
@@ -262,7 +258,8 @@ def train_model_set(ds: Dataset, lam: float) -> ModelSet:
         training_labels=ds.labels,
         summaries=tuple(
             dict(zip(_SUMMARY.names, (r.termination, r.iterations, r.objective_evals,
-                                      r.grad_inf_norm, r.duality_gap, r.max_violation)))
+                                      r.grad_inf_norm, r.duality_gap, r.max_violation,
+                                      r.suboptimality)))
             for r in (t.report for t in trained)
         ),
     )
@@ -365,7 +362,8 @@ def cross_validate_lambda(
     value, along with the full error table. A NumericalFailureError of a fold's
     training is raised again with the lambda and the fold (1..folds) named.
     """
-    grid = [float(g) for g in grid]
+    # A value that is not a real number (a bool, a string) becomes nan, refused below.
+    grid = [float(g) if _is_number(g, numbers.Real) else math.nan for g in grid]
     if len(grid) == 0:
         raise InvalidInputError("lambda grid must be nonempty")
     if any(not (np.isfinite(g) and g > 0) for g in grid):
@@ -440,7 +438,8 @@ def save_model(model: ModelSet, path) -> None:
     parts = [
         MODEL_MAGIC,
         struct.pack("<IIId", MODEL_FORMAT_VERSION, model.dim, c, model.lam),
-        np.asarray([t.matrix.entries for t in model.matrices], dtype="<f8").tobytes(),
+        np.array([t.factor.shape[1] for t in model.matrices], dtype="<u4").tobytes(),
+        *(t.factor.astype("<f8").tobytes() for t in model.matrices),
         struct.pack("<I", model.training_labels.shape[0]),
         np.asarray(model.training_features, dtype="<f8").tobytes(),
         model.training_labels.astype("<u4").tobytes(),
@@ -472,68 +471,74 @@ def _replace_file(path, chunks) -> None:
 def load_model(path) -> ModelSet:
     """Read a model file written by save_model.
 
-    Layout of version 2, little-endian: magic "DQML", format version u32,
-    m u32, C u32, lam f64, C blocks of m*m f64 row-major matrix entries,
-    n u32, training features C x n f64 row-major, training labels n x u32
-    (1..C), the original label of each class C x i64, the solve summary of
-    each class C x (termination, iterations, evaluations u32; grad_inf_norm,
-    duality_gap, max_violation f64), CRC32 u32 of all preceding bytes.
-    Any other version is refused. Loaded matrices carry no solve diagnostics.
+    Layout of version 3, little-endian: magic "DQML", format version u32,
+    m u32, C u32, lam f64, each class's rank r_c <= m C x u32, C blocks of
+    m*r_c f64 row-major factor entries, n u32, training features C x n f64
+    row-major, training labels n x u32 (1..C), the original label of each
+    class C x i64, the solve summary of each class C x (termination,
+    iterations, evaluations u32; grad_inf_norm, duality_gap, max_violation,
+    suboptimality f64), CRC32 u32 of all preceding bytes. Version 2 holds C
+    m*m matrices, factored at load, in place of ranks and factors, and no
+    suboptimality (it reads nan). Other versions are refused. Loaded
+    matrices carry no solve diagnostics.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MODEL_MAGIC) or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError("not a model file: bad magic bytes")
-    if len(blob) < 8:
-        raise ModelTruncatedError("model file ends inside the header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"model format version {version} is not supported "
-            f"(this build reads version {MODEL_FORMAT_VERSION}); re-train it with this build"
-        )
     header_len = 24  # magic, version, m, C, lam
     if len(blob) < header_len:
         raise ModelTruncatedError("model file ends inside the header")
-    m, c = struct.unpack_from("<II", blob, 8)
-    (lam,) = struct.unpack_from("<d", blob, 16)
+    version, m, c, lam = struct.unpack_from("<IIId", blob, 4)
+    if version not in (2, 3):
+        raise ModelVersionError(
+            f"model format version {version} is not supported "
+            "(this build reads versions 2 and 3); re-train it with this build"
+        )
     if m < 1 or c < 1:
         raise ModelFormatError(f"nonsensical dimensions in header: m={m}, C={c}")
 
     # Structural completeness first (truncation), then integrity (checksum):
     # the declared sizes say exactly how long the file must be.
-    n_offset = header_len + 8 * m * m * c
+    start, ranks = header_len, None  # version 2: C m x m matrices
+    if version == 3:
+        start += 4 * c
+        if len(blob) < start:
+            raise ModelTruncatedError("model file ends inside the matrix payload")
+        ranks = np.frombuffer(blob, "<u4", c, header_len).tolist()
+        if max(ranks) > m:
+            raise ModelFormatError(f"class {np.argmax(ranks) + 1} has rank {max(ranks)} > m={m}")
+    n_offset = start + 8 * m * (m * c if ranks is None else sum(ranks))
     if len(blob) < n_offset + 4:
         raise ModelTruncatedError("model file ends inside the matrix payload")
     (n,) = struct.unpack_from("<I", blob, n_offset)
     class_labels_offset = n_offset + 4 + 8 * c * n + 4 * n
-    total = class_labels_offset + (8 + _SUMMARY.itemsize) * c + 4
+    summary = _SUMMARY if version == 3 else np.dtype(_SUMMARY.descr[:-1])
+    total = class_labels_offset + (8 + summary.itemsize) * c + 4
     if len(blob) < total:
-        raise ModelTruncatedError(
-            f"model file ends {total - len(blob)} bytes early"
-        )
+        raise ModelTruncatedError(f"model file ends {total - len(blob)} bytes early")
     if len(blob) > total:
         raise ModelFormatError(f"{len(blob) - total} unexpected trailing bytes")
     (expected,) = struct.unpack_from("<I", blob, total - 4)
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != expected:
         raise ModelChecksumError("model file checksum mismatch")
 
-    mats = np.frombuffer(blob, "<f8", c * m * m, header_len).reshape(c, m, m)
+    ranks = ranks or [m] * c  # c is bounded by the file's length now
+    ends = itertools.accumulate((8 * m * r for r in ranks), initial=start)
+    blocks = [np.frombuffer(blob, "<f8", m * r, at).reshape(m, r) for at, r in zip(ends, ranks)]
     features = np.frombuffer(blob, "<f8", c * n, n_offset + 4).reshape(c, n)
     labels = np.frombuffer(blob, "<u4", n, n_offset + 4 + 8 * c * n).astype(np.int64)
     class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
-    rows = np.frombuffer(blob, _SUMMARY, c, class_labels_offset + 8 * c).tolist()
+    rows = np.frombuffer(blob, summary, c, class_labels_offset + 8 * c).tolist()
+    if version == 2:
+        rows = [(*r, math.nan) for r in rows]
+        matrices = [TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(p)) for p in blocks]
+    else:
+        matrices = [TrainedQuadraticMatrix(w, None, None) for w in blocks]
     if any(r[0] >= len(_TERMINATIONS) for r in rows):
         raise ModelFormatError("unknown termination code in a class summary")
     summaries = None
     if any(r[0] for r in rows):
         summaries = tuple(dict(zip(_SUMMARY.names, (_TERMINATIONS[r[0]], *r[1:])))
                           for r in rows)
-    return ModelSet(
-        matrices=tuple(TrainedQuadraticMatrix(SymmetricMatrix(p), None, None) for p in mats),
-        lam=lam,
-        training_features=features,
-        training_labels=labels,
-        class_labels=class_labels,
-        summaries=summaries,
-    )
+    return ModelSet(tuple(matrices), lam, features, labels, class_labels, summaries)

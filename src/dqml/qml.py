@@ -21,6 +21,7 @@ already fails the test is rejected unevaluated.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,10 +31,12 @@ import numpy as np
 from .errors import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .symmat import (
     EIGENVALUE_CLAMP_RTOL,
+    PSD_CERT_TOL,
     SymmetricMatrix,
     _clamped_part,
     _eigh_descending,
     eig_call_count,
+    eigen_decompose,
     min_eigenvalue,
     quad_forms,
 )
@@ -50,6 +53,15 @@ _EPS = float(np.finfo(float).eps)
 # MAX_ITERATIONS steps.
 MAX_ITERATIONS = 500
 GRAD_TOL = 1e-7
+
+
+def _is_number(value, kind=numbers.Integral) -> bool:
+    """Whether ``value`` is a ``kind`` (an integer by default) and not a bool.
+
+    Python counts True as the integer 1, but no count, seed, label, weight or
+    summary field means a bool. numpy integers and floats pass as Python's do.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def build_scatter(samples: np.ndarray) -> SymmetricMatrix:
@@ -109,10 +121,10 @@ class ClassProblem:
                 f"extra_scatter is {self.extra_scatter.dim}-dimensional, "
                 f"samples are {x.shape[1]}-dimensional"
             )
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InvalidInputError(f"lam must be positive and finite, got {self.lam}")
-        if not (np.isfinite(self.margin) and self.margin > 0):
-            raise InvalidInputError(f"margin must be positive and finite, got {self.margin}")
+        for name in ("lam", "margin"):
+            v = getattr(self, name)
+            if not (_is_number(v, numbers.Real) and 0 < v < np.inf):
+                raise InvalidInputError(f"{name} must be positive and finite, got {v!r}")
         x.flags.writeable = False
         object.__setattr__(self, "intra", x)
         object.__setattr__(self, "lam", float(self.lam))
@@ -173,12 +185,16 @@ class KktReport:
 
     All quantities should be near zero at an optimum except min_eigenvalue,
     which should be nonnegative up to the PSD certification tolerance.
+    duality_gap = primal(P) - D(u) is negative while P violates a constraint;
+    suboptimality = primal(s P) - D(u), s = max(1, b / min_i x_i^T P x_i), is
+    >= 0 by weak duality (s P is feasible), or +inf if some x_i^T P x_i <= 0.
     """
 
     grad_inf_norm: float
     max_violation: float
     complementary_slackness: float
     duality_gap: float
+    suboptimality: float
     min_eigenvalue: float
     dual_objective: float
     primal_objective: float
@@ -213,15 +229,35 @@ class SolveReport(KktReport):
 
 @dataclass(frozen=True)
 class TrainedQuadraticMatrix:
-    """A trained PSD matrix with its dual certificate and solve diagnostics.
+    """A trained PSD matrix P = W W^T, held as its read-only m x r factor
+    W = V_- diag(sqrt(-w_-)) from the negative eigenpairs of M(u*), so r <= n_c,
+    with its dual certificate and solve diagnostics. ``matrix`` forms P at each
+    access and keeps no copy. ``dual`` and ``report`` are None for matrices
+    loaded from disk."""
 
-    ``dual`` and ``report`` are None for matrices loaded from disk; the model
-    file stores only what classification needs.
-    """
-
-    matrix: SymmetricMatrix
+    factor: np.ndarray
     dual: DualVariables | None
     report: SolveReport | None
+
+    def __post_init__(self) -> None:
+        w = np.array(self.factor, dtype=float, copy=True)
+        if not (w.ndim == 2 and w.shape[0] >= max(1, w.shape[1]) and np.isfinite(w).all()):
+            raise InvalidInputError(f"factor must be a finite m x r array, r <= m; got {w.shape}")
+        w.flags.writeable = False
+        object.__setattr__(self, "factor", w)
+
+    @classmethod
+    def from_matrix(cls, p: SymmetricMatrix) -> TrainedQuadraticMatrix:
+        """P factored by one eigh into its eigenpairs above the clamp band;
+        an eigenvalue below -PSD_CERT_TOL * max(1, max|w|) is refused."""
+        w, v = eigen_decompose(p)
+        if w[-1] < -PSD_CERT_TOL * max(1.0, w[0], -w[-1]):
+            raise InvalidInputError(f"matrix has eigenvalue {w[-1]:.3g} below the PSD floor")
+        return cls(_factor_from(v, -_clamped_part(w, negative=False)), None, None)
+
+    @property
+    def matrix(self) -> SymmetricMatrix:
+        return _primal_from(self.factor)
 
 
 def _assemble(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray) -> np.ndarray:
@@ -318,9 +354,15 @@ def _f_lower_bound(
     return 0.5 * zz - linear - tau
 
 
-def _primal_from(v: np.ndarray, neg: np.ndarray) -> SymmetricMatrix:
-    """P = -M_- from the eigenvectors and negative eigenvalues of M."""
-    p = (v * -neg) @ v.T
+def _factor_from(v: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """W with -M_- = W W^T, from the eigenvectors and negative part of M."""
+    keep = neg < 0.0
+    return v[:, keep] * np.sqrt(-neg[keep])
+
+
+def _primal_from(w: np.ndarray) -> SymmetricMatrix:
+    """P = W W^T, symmetrized: the one place P is formed from its factor."""
+    p = w @ w.T
     return SymmetricMatrix((p + p.T) / 2.0)
 
 
@@ -353,7 +395,7 @@ def _check_dual_point(problem: ClassProblem, u: np.ndarray) -> np.ndarray:
 def recover_primal(problem: ClassProblem, u: np.ndarray) -> SymmetricMatrix:
     """Trained matrix P = -M(u)_-, PSD by construction."""
     v, neg = _dual_state(problem, _check_dual_point(problem, u), problem.lam_o)[2:4]
-    return _primal_from(v, neg)
+    return _primal_from(_factor_from(v, neg))
 
 
 def _max_violation(problem: ClassProblem, p: np.ndarray) -> float:
@@ -361,13 +403,17 @@ def _max_violation(problem: ClassProblem, p: np.ndarray) -> float:
     return float(np.max(np.maximum(problem.margin - quad_forms(p, problem.intra), 0.0)))
 
 
-def primal_objective(problem: ClassProblem, p: SymmetricMatrix) -> float:
-    """(1/2)||P||_F^2 + lam * tr(P O)."""
+def _primal_terms(problem: ClassProblem, p: SymmetricMatrix) -> tuple[float, float]:
+    """The two terms (1/2)||P||_F^2 and lam * tr(P O) of the primal objective."""
     if p.dim != problem.dim:
         raise InvalidInputError(f"matrix is {p.dim}-dimensional, problem is {problem.dim}")
-    return 0.5 * float(np.sum(p.entries * p.entries)) + problem.lam * float(
-        np.sum(p.entries * problem.extra_scatter.entries)
-    )
+    return (0.5 * float(np.sum(p.entries * p.entries)),
+            problem.lam * float(np.sum(p.entries * problem.extra_scatter.entries)))
+
+
+def primal_objective(problem: ClassProblem, p: SymmetricMatrix) -> float:
+    """(1/2)||P||_F^2 + lam * tr(P O)."""
+    return sum(_primal_terms(problem, p))
 
 
 def constraint_values(problem: ClassProblem, p: SymmetricMatrix) -> np.ndarray:
@@ -484,16 +530,16 @@ def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
             raise NumericalFailureError("solver iterate became non-finite")
 
     eig_calls = eig_call_count() - eig_before
-    p = _primal_from(v, neg)
+    factor = _factor_from(v, neg)
     report = SolveReport(
-        **_kkt(problem, u, f, g, p),
+        **_kkt(problem, u, f, g, _primal_from(factor)),
         iterations=iterations,
         termination=termination,
         objective_evals=evals,
         eig_calls=eig_calls,
         seconds=time.perf_counter() - start,
     )
-    return TrainedQuadraticMatrix(matrix=p, dual=DualVariables(u), report=report)
+    return TrainedQuadraticMatrix(factor, DualVariables(u), report)
 
 
 def _kkt(
@@ -502,13 +548,18 @@ def _kkt(
     """KktReport's fields from multipliers u, f(u) = -D(u) and its gradient
     g at u, and a matrix: the whole certificate in one pass, with one eigh
     of the matrix for min_eigenvalue."""
-    residual = problem.margin - constraint_values(problem, matrix)
-    primal_value = primal_objective(problem, matrix)
+    q = constraint_values(problem, matrix)
+    residual = problem.margin - q
+    half_sq, linear = _primal_terms(problem, matrix)
+    primal_value = half_sq + linear
+    # s P with s = max(1, b / min_i q_i) is feasible; if some q_i <= 0, no multiple is.
+    s = max(1.0, problem.margin / float(q.min())) if q.min() > 0.0 else math.inf
     return dict(
         grad_inf_norm=_projected_gradient(u, g)[2],
         max_violation=float(np.max(np.maximum(residual, 0.0))),
         complementary_slackness=float(np.max(np.abs(u * residual))),
         duality_gap=primal_value + f,
+        suboptimality=s * s * half_sq + s * linear + f if s < math.inf else math.inf,
         min_eigenvalue=min_eigenvalue(matrix),
         dual_objective=-f,
         primal_objective=primal_value,

@@ -297,8 +297,8 @@ class TestEval:
     def test_all_zero_model_is_usage_error(self, trained, tmp_path, capsys):
         data, model_path = trained
         model = load_model(model_path)
-        zero = tuple(TrainedQuadraticMatrix(SymmetricMatrix(np.zeros((model.dim, model.dim))),
-                                            None, None) for _ in model.matrices)
+        zero = tuple(TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((model.dim,) * 2)))
+                     for _ in model.matrices)
         save_model(replace(model, matrices=zero,
                            training_features=np.zeros_like(model.training_features)),
                    model_path)
@@ -468,14 +468,14 @@ class TestEval:
     def test_corrupt_model_is_usage_error(self, trained, tmp_path, capsys):
         data, model_path = trained
         blob = model_path.read_bytes()
-        c = load_model(model_path).class_count
-        # A version 1 file, which earlier builds wrote, is the version 2 layout
-        # without the class labels and summaries that precede the CRC32.
-        v1 = b"DQML" + struct.pack("<I", 1) + blob[8 : -4 - 44 * c]
+        # Version 1, which earlier builds wrote, is refused even with a valid
+        # checksum: the version is read first.
+        v1 = b"DQML" + struct.pack("<I", 1) + blob[8:-4]
         bad = tmp_path / "bad.dqml"
         for payload, message in ((b"X" + blob[1:], "bad magic bytes"),
                                  (v1 + struct.pack("<I", zlib.crc32(v1)),
-                                  "version 1 is not supported (this build reads version 2)")):
+                                  "version 1 is not supported "
+                                  "(this build reads versions 2 and 3)")):
             bad.write_bytes(payload)
             capsys.readouterr()
             assert run_cli(["eval", "--model", str(bad), "--data", str(data)]) == 2
@@ -491,7 +491,7 @@ class TestDiagnose:
         assert payload["failures"] == 0
         assert payload["instances"] == 4 and payload["dim"] == 5
         assert len(payload["checks"]) == 4 * 5
-        assert "duality_gap" in {c["check"] for c in payload["checks"]}
+        assert "suboptimality" in {c["check"] for c in payload["checks"]}
 
     def test_json_checks_all_pass(self, capsys):
         code = run_cli(["diagnose", "--random-instances", "3", "--dim", "4",
@@ -500,7 +500,7 @@ class TestDiagnose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"] == 0
         names = {c["check"] for c in payload["checks"]}
-        assert names == {"gradient_fd_rel_error", "duality_gap",
+        assert names == {"gradient_fd_rel_error", "suboptimality",
                          "feasibility_violation", "complementary_slackness",
                          "negative_eigenvalue"}
         assert all(c["pass"] for c in payload["checks"])
@@ -696,6 +696,7 @@ class TestReadme:
         section = self.README.read_text().split("## Library quickstart", 1)[1]
         block = section.split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(block, "README.md quickstart", "exec"), {})
-        iterations, gap, label, error = capsys.readouterr().out.split()
+        iterations, gap, bound, label, error = capsys.readouterr().out.split()
         assert int(iterations) >= 1 and abs(float(gap)) < 1e-3
+        assert -1e-12 <= float(bound) < 1e-3
         assert int(label) in (1, 2, 3) and 0.0 <= float(error) <= 1.0

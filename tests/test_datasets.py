@@ -339,6 +339,12 @@ class TestSynthetic:
             SynthSpec(2, 3, 4, 1.0, 1.0, seed=-1)
         with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
             SynthSpec(2, 3, 4, 1.0, 1.0, seed=0.5)
+        # A bool is not a real number here, though Python reads True as 1.0.
+        for spec, name in [((True, True), "separation"), ((True, 1.0), "separation"),
+                           ((1.0, True), "sigma"), (("1", 1.0), "separation")]:
+            with pytest.raises(InvalidInputError, match=f"{name} must be"):
+                SynthSpec(2, 3, 4, *spec)
+        assert generate_synthetic(SynthSpec(2, 3, 4, np.float64(1.0), np.float32(0.5), 2)).n == 8
         # numpy integers are integers.
         assert generate_synthetic(SynthSpec(np.int64(2), 3, np.int32(4), 1.0, 1.0,
                                             seed=np.uint8(1))).n == 8
@@ -403,5 +409,11 @@ class TestSplit:
         for seed in (-1, 1.5, True):
             with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
                 SplitSpec(2, seed=seed)
+        # numpy would raise its own TypeError and ValueError for 1.5 and -1,
+        # and read True as repetition 1.
+        for repetition in (1.5, -1, True):
+            with pytest.raises(InvalidInputError, match="repetition must be a non-negative"):
+                split_random(self.base(), SplitSpec(2), repetition)
+        assert split_random(self.base(), SplitSpec(2), np.uint8(1))[0].n == 6
         tr, _ = split_random(self.base(), SplitSpec(np.int64(2), seed=np.int64(5)), 0)
         assert tr.n == 6

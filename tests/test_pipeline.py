@@ -2,6 +2,7 @@
 classification rules, cross-validation, and the model file round trip."""
 
 import errno
+import math
 import os
 import struct
 import tracemalloc
@@ -40,7 +41,7 @@ from dqml.pipeline import (
     train_model_set,
 )
 from dqml.qml import TrainedQuadraticMatrix, solve_dual
-from dqml.symmat import SymmetricMatrix
+from dqml.symmat import SymmetricMatrix, quad_forms
 
 from conftest import reference_train
 
@@ -62,7 +63,7 @@ def gaussian_dataset(seed=0, per_class=8, dim=4, classes=3, sep=6.0):
 
 def identity_model(classes=2, dim=2):
     mats = tuple(
-        TrainedQuadraticMatrix(SymmetricMatrix(np.eye(dim)), None, None)
+        TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(dim)))
         for _ in range(classes)
     )
     feats = np.eye(classes) + 0.5
@@ -72,7 +73,7 @@ def identity_model(classes=2, dim=2):
 def zero_model(classes=3, dim=2):
     """A model whose every class matrix, and so every training feature, is zero."""
     mats = tuple(
-        TrainedQuadraticMatrix(SymmetricMatrix(np.zeros((dim, dim))), None, None)
+        TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((dim, dim))))
         for _ in range(classes)
     )
     return ModelSet(mats, 1.0, np.zeros((classes, classes)), np.arange(1, classes + 1))
@@ -156,6 +157,12 @@ class TestTrainModelSet:
             assert np.all(own >= 1.0 - 1e-4)
         assert np.all(f >= -1e-8)
 
+    def test_rejects_bad_lam(self):
+        for lam in (True, 0.0, float("inf")):
+            with pytest.raises(InvalidInputError, match="class 1: lam must be positive and finite"):
+                train_model_set(toy_dataset(), lam=lam)
+        assert train_model_set(toy_dataset(), lam=np.float32(0.5)).lam == 0.5
+
     def test_infeasible_class_is_named(self):
         ds = Dataset(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 2]))
         with pytest.raises(InfeasibleProblemError, match="class 2"):
@@ -232,6 +239,17 @@ class TestFeatures:
         with pytest.raises(InvalidInputError, match="sample has non-finite entries"):
             extract_features(identity_model(), np.array([1.0, np.nan]))
 
+    def test_factor_features_match_the_quadratic_forms_of_p(self):
+        # Features are the row sums of (X W_c)^2; x^T P x with P = W W^T
+        # formed first is the same number up to rounding.
+        model = train_model_set(reference_train(), lam=0.1)
+        x = generate_synthetic(SynthSpec(3, 10, 7000, 6.0, 1.0, seed=10_000)).samples[:20_000]
+        f = _feature_matrix(model.matrices, x)
+        ref = np.stack([quad_forms(t.matrix.entries, x) for t in model.matrices], axis=1)
+        assert f.shape == (20_000, 3)
+        assert np.all(np.abs(f - ref) <= 1e-12 * np.abs(ref).max(axis=1, keepdims=True))
+        assert np.array_equal(np.argmax(f, axis=1), np.argmax(ref, axis=1))
+
     def test_feature_vector_must_be_1d(self):
         with pytest.raises(InvalidInputError, match="must be 1-d and nonempty"):
             FeatureVector(np.ones((2, 2)))
@@ -280,7 +298,7 @@ class TestClassifyNnCosine:
 
     def test_zero_norm_training_column_cannot_win(self):
         mats = tuple(
-            TrainedQuadraticMatrix(SymmetricMatrix(np.eye(2)), None, None)
+            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(2)))
             for _ in range(2)
         )
         feats = np.array([[0.0, 1.0], [0.0, 0.2]])
@@ -307,7 +325,7 @@ class TestNnCosineBlocks:
     def model(self):
         rng = np.random.default_rng(40)
         mats = tuple(
-            TrainedQuadraticMatrix(SymmetricMatrix(np.eye(2)), None, None)
+            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(2)))
             for _ in range(4)
         )
         feats = rng.uniform(0.0, 1.0, size=(4, self.N_TRAIN))
@@ -363,8 +381,14 @@ class TestCrossValidation:
         for seed in (-1, 0.5, True):
             with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
                 cross_validate_lambda(ds, [1.0], folds=3, seed=seed)
+        # A bool would train at 1.0, and a string would pass through float().
+        for grid in ([True], [0.3, False], ["1.0"]):
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                cross_validate_lambda(ds, grid, folds=2)
         lam, _ = cross_validate_lambda(ds, [1.0], folds=np.int64(2), seed=np.uint8(3))
         assert lam == 1.0
+        lam, _ = cross_validate_lambda(ds, (v for v in [np.float64(0.5), 2]), folds=2)
+        assert lam == 0.5 and type(lam) is float
 
     def test_all_classes_too_small(self):
         ds = gaussian_dataset(per_class=3)
@@ -420,6 +444,9 @@ class TestCrossValidation:
             assert len(reports) == 30
             assert entry.unconverged == sum(not r.converged for r in reports)
             assert entry.worst_grad_inf_norm == max(r.grad_inf_norm for r in reports)
+        # Converged or not, each fold solve's suboptimality bounds its distance
+        # from the optimum, so it is not below zero by more than rounding.
+        assert all(r.suboptimality >= -1e-12 * max(1.0, abs(r.dual_objective)) for _, r in log)
 
 
 class TestEvaluate:
@@ -467,15 +494,11 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(model, bad, "max")
 
-    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
-    def test_non_psd_model_rejected(self, rule):
-        mats = (
-            TrainedQuadraticMatrix(SymmetricMatrix(np.eye(2)), None, None),
-            TrainedQuadraticMatrix(SymmetricMatrix(np.diag([1.0, -1.0])), None, None),
-        )
-        model = ModelSet(mats, 1.0, np.eye(2) + 0.5, np.array([1, 2]))
-        with pytest.raises(InvalidInputError, match="PSD floor"):
-            evaluate(model, toy_dataset(), rule)
+    def test_non_psd_model_rejected(self):
+        # A factor W cannot hold a negative eigenvalue: diag(1, -1) is refused
+        # when it is factored, before any model or evaluation is built.
+        with pytest.raises(InvalidInputError, match="eigenvalue -1 below the PSD floor"):
+            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag([1.0, -1.0])))
 
     # A single sample's features come from gemv, a batch's from gemm.
     @pytest.mark.parametrize("dim", [4, 64])
@@ -504,7 +527,7 @@ class TestEvaluate:
         # a third coordinate and no training feature is labelled 3, so no
         # sample is predicted as class 3; no test label is 4.
         mats = tuple(
-            TrainedQuadraticMatrix(SymmetricMatrix(np.diag(np.eye(4)[c])), None, None)
+            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag(np.eye(4)[c])))
             for c in range(4)
         )
         rng = np.random.default_rng(43)
@@ -621,15 +644,14 @@ class TestModelFile:
         path = tmp_path / "m.dqml"
         save_model(model, path)
         blob = path.read_bytes()
-        # A version 1 file, which earlier builds wrote, is the version 2 layout
-        # without the class labels and summaries that precede the CRC32. It is
-        # refused like a version from the future, even with a valid checksum.
-        v1 = b"DQML" + struct.pack("<I", 1) + blob[8 : -4 - 44 * model.class_count]
+        # Version 1, which earlier builds wrote, is refused like a version from
+        # the future, even with a valid checksum: the version is read first.
+        v1 = b"DQML" + struct.pack("<I", 1) + blob[8:-4]
         for version, payload in ((99, blob[:4] + struct.pack("<I", 99) + blob[8:]),
                                  (1, v1 + struct.pack("<I", zlib.crc32(v1)))):
             path.write_bytes(payload)
             with pytest.raises(ModelVersionError, match=rf"version {version} is not supported "
-                               r"\(this build reads version 2\); re-train"):
+                               r"\(this build reads versions 2 and 3\); re-train"):
                 load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -644,7 +666,7 @@ class TestModelFile:
         path = tmp_path / "m.dqml"
         save_model(self.trained(), path)
         blob = bytearray(path.read_bytes())
-        blob[30] ^= 0xFF
+        blob[40] ^= 0xFF  # inside class 1's factor, past the three ranks
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelChecksumError):
             load_model(path)
@@ -654,9 +676,10 @@ class TestModelFile:
         path = tmp_path / "m.dqml"
         save_model(model, path)
         blob = bytearray(path.read_bytes())
-        # The first training feature follows the header, the class matrices
-        # and the sample count; the CRC32 trailer is recomputed to match.
-        offset = 24 + 8 * model.dim**2 * model.class_count + 4
+        # The first training feature follows the header, the ranks, the
+        # factors and the sample count; the CRC32 trailer is recomputed to match.
+        ranks = sum(t.factor.shape[1] for t in model.matrices)
+        offset = 24 + 4 * model.class_count + 8 * model.dim * ranks + 4
         struct.pack_into("<d", blob, offset, float("nan"))
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
@@ -671,8 +694,10 @@ class TestModelFile:
             (None, 8, ModelFormatError, "m=0"),
             (None, 12, ModelFormatError, "C=0"),
             (24 + 8, None, ModelTruncatedError, "inside the matrix payload"),
+            (24 + 12 + 8, None, ModelTruncatedError, "inside the matrix payload"),
         ],
-        ids=["before-version", "after-version", "m-zero", "c-zero", "inside-matrices"],
+        ids=["before-version", "after-version", "m-zero", "c-zero", "inside-matrices",
+             "inside-factors"],
     )
     def test_header_and_payload_refusals(self, tmp_path, cut, field, error, match):
         path = tmp_path / "m.dqml"
@@ -689,43 +714,96 @@ class TestModelFile:
         with pytest.raises(error, match=match):
             load_model(path)
 
+    # (termination, its code, iterations, evaluations, grad_inf_norm,
+    # duality_gap, max_violation, suboptimality) of each class.
+    SUMMARY_ROWS = [("converged", 1, 17, 21, 3e-8, -1.5e-9, 0.0, 2.5e-9),
+                    ("max_iterations", 2, 500, 1234, 2.5e-3, 4e-4, 1e-6, float("inf")),
+                    ("line_search_failed", 3, 88, 301, 1e-5, 2e-7, 3.25e-9, 0.125)]
+    SUMMARY_NAMES = ("termination", "iterations", "evaluations", "grad_inf_norm",
+                     "duality_gap", "max_violation", "suboptimality")
+
+    def file_bytes(self, version, model, with_summaries):
+        """Model file bytes laid out by hand. Version 2 holds each m x m matrix
+        and 36-byte summaries; version 3 the ranks, the factors, and 44-byte
+        summaries that end with the suboptimality."""
+        m, c, n = model.dim, model.class_count, model.training_labels.size
+        fields = 7 if version == 3 else 6
+        summary_bytes = bytes((fields * 8 - 12) * c)  # no summaries: an all-zero block
+        if with_summaries:
+            summary_bytes = b"".join(struct.pack("<III", *r[1:4]) + struct.pack("<ddd", *r[4:7])
+                                     + (struct.pack("<d", r[7]) if version == 3 else b"")
+                                     for r in self.SUMMARY_ROWS)
+        if version == 3:
+            matrices = [struct.pack(f"<{c}I", *(t.factor.shape[1] for t in model.matrices)),
+                        *(t.factor.astype("<f8").tobytes() for t in model.matrices)]
+        else:
+            matrices = [t.matrix.entries.astype("<f8").tobytes() for t in model.matrices]
+        payload = b"".join([
+            b"DQML", struct.pack("<IIId", version, m, c, model.lam), *matrices,
+            struct.pack("<I", n), model.training_features.astype("<f8").tobytes(),
+            model.training_labels.astype("<u4").tobytes(),
+            struct.pack(f"<{c}q", *model.class_labels), summary_bytes,
+        ])
+        return payload + struct.pack("<I", zlib.crc32(payload))
+
+    @pytest.mark.parametrize("with_summaries", [True, False], ids=["summaries", "none"])
+    def test_version_3_bytes_match_the_layout(self, tmp_path, with_summaries):
+        model = replace(self.trained(), class_labels=(3, 7, 10), summaries=None)
+        if with_summaries:
+            model = replace(model, summaries=tuple(
+                dict(zip(self.SUMMARY_NAMES, (r[0], *r[2:]))) for r in self.SUMMARY_ROWS))
+        path = tmp_path / "v3.dqml"
+        save_model(model, path)
+        assert path.read_bytes() == self.file_bytes(3, model, with_summaries)
+        # Every class here has rank 1, so the factors take 8 * m bytes each,
+        # not the 8 * m * m of a version 2 matrix.
+        assert [t.factor.shape for t in model.matrices] == [(4, 1)] * 3
+        assert load_model(path).summaries == model.summaries
+
+    # A version 2 file, which the previous build wrote, loads with each matrix
+    # factored by one eigh, and classifies as the model it was written from.
     @pytest.mark.parametrize("with_summaries", [True, False], ids=["summaries", "none"])
     def test_version_2_bytes_match_the_layout(self, tmp_path, with_summaries):
         model = replace(self.trained(), class_labels=(3, 7, 10), summaries=None)
-        # (termination, its code, iterations, evaluations, grad_inf_norm,
-        # duality_gap, max_violation) of each class.
-        rows = [("converged", 1, 17, 21, 3e-8, -1.5e-9, 0.0),
-                ("max_iterations", 2, 500, 1234, 2.5e-3, 4e-4, 1e-6),
-                ("line_search_failed", 3, 88, 301, 1e-5, 2e-7, 3.25e-9)]
-        summary_bytes = bytes(36 * 3)  # no summaries: an all-zero block
-        if with_summaries:
-            names = ("termination", "iterations", "evaluations",
-                     "grad_inf_norm", "duality_gap", "max_violation")
-            summaries = tuple(dict(zip(names, (r[0], *r[2:]))) for r in rows)
-            model = replace(model, summaries=summaries)
-            summary_bytes = b"".join(
-                struct.pack("<III", *r[1:4]) + struct.pack("<ddd", *r[4:]) for r in rows
-            )
-        m, c, n = model.dim, model.class_count, model.training_labels.size
-        payload = b"".join([
-            b"DQML", struct.pack("<IIId", 2, m, c, model.lam),
-            *(t.matrix.entries.astype("<f8").tobytes() for t in model.matrices),
-            struct.pack("<I", n), model.training_features.astype("<f8").tobytes(),
-            model.training_labels.astype("<u4").tobytes(),
-            struct.pack("<3q", 3, 7, 10), summary_bytes,
-        ])
         path = tmp_path / "v2.dqml"
-        save_model(model, path)
-        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
-        assert load_model(path).summaries == model.summaries
+        path.write_bytes(self.file_bytes(2, model, with_summaries))
+        loaded = load_model(path)
+        assert loaded.class_labels == (3, 7, 10) and loaded.lam == model.lam
+        assert np.array_equal(loaded.training_features, model.training_features)
+        assert np.array_equal(loaded.training_labels, model.training_labels)
+        for a, b in zip(model.matrices, loaded.matrices):
+            assert b.factor.shape == a.factor.shape
+            assert np.allclose(b.matrix.entries, a.matrix.entries, rtol=0, atol=1e-14)
+        test = gaussian_dataset(seed=5, per_class=40)
+        for rule in ("max", "nn_cosine"):
+            assert np.array_equal(evaluate(loaded, test, rule).confusion,
+                                  evaluate(model, test, rule).confusion)
+        if not with_summaries:
+            assert loaded.summaries is None
+            return
+        # A version 2 summary has no suboptimality; it reads nan.
+        for s, r in zip(loaded.summaries, self.SUMMARY_ROWS):
+            assert math.isnan(s.pop("suboptimality"))
+            assert s == dict(zip(self.SUMMARY_NAMES, (r[0], *r[2:7])))
+
+    def test_rank_past_m_is_refused(self, tmp_path):
+        # A valid checksum, but class 2 claims m + 1 factor columns.
+        model = self.trained()
+        blob = bytearray(self.file_bytes(3, model, True))
+        struct.pack_into("<I", blob, 28, model.dim + 1)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        path = tmp_path / "m.dqml"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="class 2 has rank 5 > m=4"):
+            load_model(path)
 
     def test_unknown_termination_code(self, tmp_path):
         model = self.trained()
         path = tmp_path / "m.dqml"
         save_model(model, path)
         blob = bytearray(path.read_bytes())
-        # The last class summary's termination code sits 36 bytes before the CRC32.
-        struct.pack_into("<I", blob, len(blob) - 4 - 36, 4)
+        # The last class summary's termination code sits 44 bytes before the CRC32.
+        struct.pack_into("<I", blob, len(blob) - 4 - 44, 4)
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError, match="termination code"):
@@ -749,12 +827,13 @@ class TestModelFile:
          r"disagree on dimension: \[2, 3\]"),
         ({"lam": 0.0}, "lam must be positive and finite"),
         ({"lam": float("nan")}, "lam must be positive and finite"),
+        ({"lam": True}, "lam must be positive and finite, got True"),
         ({"training_features": np.ones((3, 2))}, r"must be \(classes, samples\)"),
         ({"training_labels": np.array([1, 2, 2])}, "one training label per feature column"),
         ({"training_labels": np.array([1.0, 2.0])}, "training labels must be integers"),
         ({"training_labels": np.array([1, 3])}, "training labels out of class range"),
-    ], ids=["no_matrices", "two_dimensions", "zero_lam", "nan_lam", "features_not_c_by_n",
-            "label_count", "float_labels", "label_past_c"])
+    ], ids=["no_matrices", "two_dimensions", "zero_lam", "nan_lam", "bool_lam",
+            "features_not_c_by_n", "label_count", "float_labels", "label_past_c"])
     def test_bad_fields_are_refused(self, change, match):
         with pytest.raises(InvalidInputError, match=match):
             replace(identity_model(), **change)

@@ -27,10 +27,11 @@ from dqml.qml import (
     kkt_report,
     primal_objective,
     random_class_problem,
+    TrainedQuadraticMatrix,
     recover_primal,
     solve_dual,
 )
-from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, negative_part
+from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, eig_call_count, negative_part
 
 from conftest import reference_train
 
@@ -76,10 +77,15 @@ class TestConstruction:
             ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=0.0)
         with pytest.raises(InvalidInputError):
             ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=-1.0)
+        with pytest.raises(InvalidInputError, match="lam must be positive and finite, got True"):
+            ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=True)
+        assert ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=np.float32(2.0)).lam == 2.0
 
     def test_rejects_bad_margin(self):
         with pytest.raises(InvalidInputError):
             ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=1.0, margin=0.0)
+        with pytest.raises(InvalidInputError, match="margin must be positive and finite, got True"):
+            ClassProblem(np.ones((1, 2)), zero_scatter(2), lam=1.0, margin=True)
 
     def test_rejects_nonfinite_samples(self):
         ok = np.array([[1.0, 0.0]])
@@ -510,7 +516,8 @@ class TestLineSearchScreen:
 class TestSolveReportCertificate:
     """solve_dual's report carries the certificate kkt_report computes for
     the returned (dual, matrix) pair, bit for bit, and counts one eigh per
-    evaluation."""
+    evaluation. Its suboptimality is not below zero by more than rounding,
+    converged or not."""
 
     @staticmethod
     def check(problems):
@@ -525,6 +532,7 @@ class TestSolveReportCertificate:
                     field.name
                 )
             assert rep.eig_calls == rep.objective_evals
+            assert rep.suboptimality >= -1e-12 * max(1.0, abs(rep.dual_objective))
             terminations.add(rep.termination)
         return terminations
 
@@ -575,3 +583,80 @@ class TestPrimalRecovery:
         for fn in (primal_objective, constraint_values):
             with pytest.raises(InvalidInputError, match="matrix is 3-dimensional, problem is 2"):
                 fn(single_axis_problem(), p)
+
+
+class TestSuboptimality:
+    """KktReport.suboptimality = primal(s P) - D(u) with s P feasible: a
+    bound on the distance from the optimum that weak duality keeps >= 0."""
+
+    def test_bound_is_primal_of_the_rescaled_matrix_minus_d(self):
+        prob = random_class_problem(np.random.default_rng(6), dim=5, n_intra=8, n_extra=12)
+        u = np.full(prob.n_intra, 0.5)  # far from optimal: P violates constraints
+        p = recover_primal(prob, u)
+        rep = kkt_report(prob, DualVariables(u), p)
+        s = prob.margin / float(np.min(constraint_values(prob, p)))
+        assert rep.max_violation > 0.0 and s > 1.0
+        want = primal_objective(prob, SymmetricMatrix(s * p.entries)) - dual_objective(prob, u)
+        assert rep.suboptimality == pytest.approx(want, rel=1e-12)
+        assert rep.suboptimality > rep.duality_gap
+
+    def test_feasible_matrix_bound_is_the_duality_gap(self):
+        # Past the optimum every constraint holds, so s = 1.
+        prob = random_class_problem(np.random.default_rng(6), dim=5, n_intra=8, n_extra=12)
+        u = np.full(prob.n_intra, 2.0)
+        rep = kkt_report(prob, DualVariables(u), recover_primal(prob, u))
+        assert rep.max_violation == 0.0 and rep.duality_gap > 1.0
+        assert rep.suboptimality == rep.duality_gap
+
+    def test_zero_matrix_bound_is_infinite(self):
+        prob = single_axis_problem()
+        rep = kkt_report(prob, DualVariables([0.0]), recover_primal(prob, np.zeros(1)))
+        assert rep.suboptimality == math.inf
+
+
+class TestFactor:
+    """A trained matrix is held as its m x r factor W, P = W W^T, r <= n_c."""
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_reference_split_factors_have_at_most_n_c_columns(self, lam):
+        for prob in reference_split_problems(lam):
+            w = solve_dual(prob).factor
+            assert w.shape[0] == prob.dim and 1 <= w.shape[1] <= prob.n_intra
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_wide_classes_factors_have_at_most_n_c_columns(self, lam):
+        for prob in wide_classes_problems(lam, classes=range(1, 11)):
+            w = solve_dual(prob).factor
+            assert w.shape[0] == prob.dim and 1 <= w.shape[1] <= prob.n_intra
+
+    def test_trained_and_recovered_matrices_are_equal(self):
+        prob = random_problems(1)[0]
+        trained = solve_dual(prob)
+        p = trained.matrix
+        assert np.array_equal(p.entries, recover_primal(prob, trained.dual.values).entries)
+        assert np.array_equal(p.entries, qml._primal_from(trained.factor).entries)
+        assert np.allclose(p.entries, -negative_part(assemble_m(prob, trained.dual.values)).entries,
+                           rtol=0, atol=1e-12 * np.abs(p.entries).max())
+        # P is formed at each access, not kept beside the factor.
+        assert trained.matrix is not p and not trained.factor.flags.writeable
+
+    def test_bad_factors_are_refused(self):
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((0, 0)), np.array([[np.nan]])):
+            with pytest.raises(InvalidInputError, match="factor must be a finite m x r array"):
+                TrainedQuadraticMatrix(bad, None, None)
+
+    def test_from_matrix_factors_with_one_eigh(self):
+        a = np.random.default_rng(4).normal(size=(5, 2))
+        p = a @ a.T
+        before = eig_call_count()
+        t = TrainedQuadraticMatrix.from_matrix(SymmetricMatrix((p + p.T) / 2.0))
+        assert eig_call_count() - before == 1
+        assert t.factor.shape == (5, 2)
+        assert np.allclose(t.matrix.entries, p, rtol=0, atol=1e-13 * np.abs(p).max())
+        assert TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((3, 3)))).factor.shape \
+            == (3, 0)
+        # Rounding below zero is not a negative eigenvalue; -1e-6 is.
+        assert TrainedQuadraticMatrix.from_matrix(
+            SymmetricMatrix(np.diag([1.0, -1e-12]))).factor.shape == (2, 1)
+        with pytest.raises(InvalidInputError, match="below the PSD floor"):
+            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag([1.0, -1e-6])))
