@@ -494,11 +494,16 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(model, bad, "max")
 
-    def test_non_psd_model_rejected(self):
+    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
+    def test_non_psd_model_rejected(self, rule):
         # A factor W cannot hold a negative eigenvalue: diag(1, -1) is refused
-        # when it is factored, before any model or evaluation is built.
+        # when it is factored, so no model holding it reaches either rule.
         with pytest.raises(InvalidInputError, match="eigenvalue -1 below the PSD floor"):
-            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag([1.0, -1.0])))
+            mats = tuple(
+                TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(p))
+                for p in (np.eye(2), np.diag([1.0, -1.0]))
+            )
+            evaluate(ModelSet(mats, 1.0, np.eye(2) + 0.5, np.array([1, 2])), toy_dataset(), rule)
 
     # A single sample's features come from gemv, a batch's from gemm.
     @pytest.mark.parametrize("dim", [4, 64])
