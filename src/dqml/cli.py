@@ -5,8 +5,9 @@ per-class matrices at one λ or at the one cross-validation picks from a list,
 ``eval`` scores a saved model, ``protocol`` runs the repeated-split
 experiment, and ``diagnose`` runs the solver's self-checks (finite-difference
 gradients, KKT residuals, and reference-solver comparisons). Every
-subcommand prints JSON to stdout, one object per line; errors and warnings
-go to stderr. A flag that a subcommand would not act on is a usage error.
+subcommand prints standard JSON to stdout, one object per line, with null
+for a value that is not finite; errors and warnings go to stderr. A flag
+that a subcommand would not act on is a usage error.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible problem,
 4 diagnostic failure, 5 numerical failure.
@@ -64,6 +65,12 @@ PENALTY_AGREEMENT_TOL = 1e-3
 # SolveReport fields that train prints beside the model file's solve summary.
 _TRAIN_ONLY_FIELDS = ("dual_objective", "primal_objective", "complementary_slackness",
                       "min_eigenvalue", "converged", "seconds")
+
+
+def _print_json(obj) -> None:
+    """Print obj as one line of standard JSON, with null for inf and nan."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)  # NaN, Infinity
+    print(json.dumps(obj, allow_nan=False))
 
 
 def _positive_float(text: str) -> float:
@@ -173,7 +180,7 @@ def cmd_synth(args) -> int:
     ds = generate_synthetic(spec)
     save_csv(ds, args.out)
     sidecar = write_sidecar(args.out, {"rows": ds.n, **asdict(spec)})
-    print(json.dumps({"path": args.out, "sidecar": str(sidecar), "rows": ds.n}))
+    _print_json({"path": args.out, "sidecar": str(sidecar), "rows": ds.n})
     return 0
 
 
@@ -200,22 +207,22 @@ def cmd_train(args) -> int:
 
     lam, cv = _pick_lambda(args, ds, folds)
     if cv is not None:
-        print(json.dumps({"selected_lambda": lam, "cv": cv}))
+        _print_json({"selected_lambda": lam, "cv": cv})
 
     model = replace(train_model_set(ds, lam), class_labels=tuple(relabel))
     save_model(model, args.out)
     for c, trained in enumerate(model.matrices, start=1):
         rep = trained.report
-        print(json.dumps({
+        _print_json({
             "class": c,
             "label": model.class_labels[c - 1],
             **model.summaries[c - 1],
             **{k: getattr(rep, k) for k in _TRAIN_ONLY_FIELDS},
-        }))
+        })
         if not rep.converged:
             print(f"warning: class {c} did not converge "
                   f"({rep.termination}, grad {rep.grad_inf_norm:.3g})", file=sys.stderr)
-    print(json.dumps({"model": args.out, "classes": model.class_count, "lambda": lam}))
+    _print_json({"model": args.out, "classes": model.class_count, "lambda": lam})
     return 0
 
 
@@ -232,7 +239,7 @@ def cmd_eval(args) -> int:
         t0 = time.perf_counter()
         results[rule] = evaluate(model, test, rule)
         seconds[rule] = time.perf_counter() - t0
-    print(json.dumps({
+    _print_json({
         "mode": "single",
         "n": test.n,
         **{
@@ -245,7 +252,7 @@ def cmd_eval(args) -> int:
         },
         "classes": [{"label": label, **summary} for label, summary in
                     zip(model.class_labels, model.summaries or [{}] * model.class_count)],
-    }))
+    })
     return 0
 
 
@@ -267,10 +274,10 @@ def cmd_protocol(args) -> int:
         rule: {"mean_error": float(np.mean(v)), "std_error": float(np.std(v))}
         for rule, v in errors.items()
     }
-    print(json.dumps({
+    _print_json({
         "mode": "protocol", "reps": args.reps, "lambdas": lambdas,
         "cv": cv_tables if len(args.lam) > 1 else None, **summary
-    }))
+    })
     return 0
 
 
@@ -332,12 +339,12 @@ def cmd_diagnose(args) -> int:
                    PENALTY_AGREEMENT_TOL * max(1.0, abs(primal)))
 
     failures = sum(not c["pass"] for c in checks)
-    print(json.dumps({
+    _print_json({
         "instances": args.random_instances,
         "dim": args.dim,
         "checks": checks,
         "failures": failures,
-    }))
+    })
     return 4 if failures else 0
 
 

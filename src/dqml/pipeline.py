@@ -36,7 +36,6 @@ from .qml import (
     build_scatter,
     solve_dual,
 )
-from .symmat import SymmetricMatrix
 
 MODEL_MAGIC = b"DQML"
 MODEL_FORMAT_VERSION = 3
@@ -477,10 +476,8 @@ def load_model(path) -> ModelSet:
     row-major, training labels n x u32 (1..C), the original label of each
     class C x i64, the solve summary of each class C x (termination,
     iterations, evaluations u32; grad_inf_norm, duality_gap, max_violation,
-    suboptimality f64), CRC32 u32 of all preceding bytes. Version 2 holds C
-    m*m matrices, factored at load, in place of ranks and factors, and no
-    suboptimality (it reads nan). Other versions are refused. Loaded
-    matrices carry no solve diagnostics.
+    suboptimality f64), CRC32 u32 of all preceding bytes. Every other
+    version is refused. Loaded matrices carry no solve diagnostics.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -490,31 +487,28 @@ def load_model(path) -> ModelSet:
     if len(blob) < header_len:
         raise ModelTruncatedError("model file ends inside the header")
     version, m, c, lam = struct.unpack_from("<IIId", blob, 4)
-    if version not in (2, 3):
+    if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model format version {version} is not supported "
-            "(this build reads versions 2 and 3); re-train it with this build"
+            f"(this build reads version {MODEL_FORMAT_VERSION}); re-train it with this build"
         )
     if m < 1 or c < 1:
         raise ModelFormatError(f"nonsensical dimensions in header: m={m}, C={c}")
 
     # Structural completeness first (truncation), then integrity (checksum):
     # the declared sizes say exactly how long the file must be.
-    start, ranks = header_len, None  # version 2: C m x m matrices
-    if version == 3:
-        start += 4 * c
-        if len(blob) < start:
-            raise ModelTruncatedError("model file ends inside the matrix payload")
-        ranks = np.frombuffer(blob, "<u4", c, header_len).tolist()
-        if max(ranks) > m:
-            raise ModelFormatError(f"class {np.argmax(ranks) + 1} has rank {max(ranks)} > m={m}")
-    n_offset = start + 8 * m * (m * c if ranks is None else sum(ranks))
+    start = header_len + 4 * c
+    if len(blob) < start:
+        raise ModelTruncatedError("model file ends inside the matrix payload")
+    ranks = np.frombuffer(blob, "<u4", c, header_len).tolist()
+    if max(ranks) > m:
+        raise ModelFormatError(f"class {np.argmax(ranks) + 1} has rank {max(ranks)} > m={m}")
+    n_offset = start + 8 * m * sum(ranks)
     if len(blob) < n_offset + 4:
         raise ModelTruncatedError("model file ends inside the matrix payload")
     (n,) = struct.unpack_from("<I", blob, n_offset)
     class_labels_offset = n_offset + 4 + 8 * c * n + 4 * n
-    summary = _SUMMARY if version == 3 else np.dtype(_SUMMARY.descr[:-1])
-    total = class_labels_offset + (8 + summary.itemsize) * c + 4
+    total = class_labels_offset + (8 + _SUMMARY.itemsize) * c + 4
     if len(blob) < total:
         raise ModelTruncatedError(f"model file ends {total - len(blob)} bytes early")
     if len(blob) > total:
@@ -523,18 +517,13 @@ def load_model(path) -> ModelSet:
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != expected:
         raise ModelChecksumError("model file checksum mismatch")
 
-    ranks = ranks or [m] * c  # c is bounded by the file's length now
     ends = itertools.accumulate((8 * m * r for r in ranks), initial=start)
-    blocks = [np.frombuffer(blob, "<f8", m * r, at).reshape(m, r) for at, r in zip(ends, ranks)]
+    matrices = [TrainedQuadraticMatrix(np.frombuffer(blob, "<f8", m * r, at).reshape(m, r),
+                                       None, None) for at, r in zip(ends, ranks)]
     features = np.frombuffer(blob, "<f8", c * n, n_offset + 4).reshape(c, n)
     labels = np.frombuffer(blob, "<u4", n, n_offset + 4 + 8 * c * n).astype(np.int64)
     class_labels = np.frombuffer(blob, "<i8", c, class_labels_offset).tolist()
-    rows = np.frombuffer(blob, summary, c, class_labels_offset + 8 * c).tolist()
-    if version == 2:
-        rows = [(*r, math.nan) for r in rows]
-        matrices = [TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(p)) for p in blocks]
-    else:
-        matrices = [TrainedQuadraticMatrix(w, None, None) for w in blocks]
+    rows = np.frombuffer(blob, _SUMMARY, c, class_labels_offset + 8 * c).tolist()
     if any(r[0] >= len(_TERMINATIONS) for r in rows):
         raise ModelFormatError("unknown termination code in a class summary")
     summaries = None

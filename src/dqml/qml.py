@@ -31,12 +31,10 @@ import numpy as np
 from .errors import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .symmat import (
     EIGENVALUE_CLAMP_RTOL,
-    PSD_CERT_TOL,
     SymmetricMatrix,
     _clamped_part,
     _eigh_descending,
     eig_call_count,
-    eigen_decompose,
     min_eigenvalue,
     quad_forms,
 )
@@ -245,15 +243,6 @@ class TrainedQuadraticMatrix:
             raise InvalidInputError(f"factor must be a finite m x r array, r <= m; got {w.shape}")
         w.flags.writeable = False
         object.__setattr__(self, "factor", w)
-
-    @classmethod
-    def from_matrix(cls, p: SymmetricMatrix) -> TrainedQuadraticMatrix:
-        """P factored by one eigh into its eigenpairs above the clamp band;
-        an eigenvalue below -PSD_CERT_TOL * max(1, max|w|) is refused."""
-        w, v = eigen_decompose(p)
-        if w[-1] < -PSD_CERT_TOL * max(1.0, w[0], -w[-1]):
-            raise InvalidInputError(f"matrix has eigenvalue {w[-1]:.3g} below the PSD floor")
-        return cls(_factor_from(v, -_clamped_part(w, negative=False)), None, None)
 
     @property
     def matrix(self) -> SymmetricMatrix:

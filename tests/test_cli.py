@@ -31,7 +31,7 @@ from dqml.pipeline import (
     train_model_set,
 )
 from dqml.qml import TrainedQuadraticMatrix
-from dqml.symmat import PSD_CERT_TOL, SymmetricMatrix
+from dqml.symmat import PSD_CERT_TOL
 
 from conftest import reference_train
 
@@ -297,7 +297,7 @@ class TestEval:
     def test_all_zero_model_is_usage_error(self, trained, tmp_path, capsys):
         data, model_path = trained
         model = load_model(model_path)
-        zero = tuple(TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((model.dim,) * 2)))
+        zero = tuple(TrainedQuadraticMatrix(np.zeros((model.dim, 0)), None, None)
                      for _ in model.matrices)
         save_model(replace(model, matrices=zero,
                            training_features=np.zeros_like(model.training_features)),
@@ -468,14 +468,15 @@ class TestEval:
     def test_corrupt_model_is_usage_error(self, trained, tmp_path, capsys):
         data, model_path = trained
         blob = model_path.read_bytes()
-        # Version 1, which earlier builds wrote, is refused even with a valid
-        # checksum: the version is read first.
-        v1 = b"DQML" + struct.pack("<I", 1) + blob[8:-4]
+        cases = [(b"X" + blob[1:], "bad magic bytes")]
+        # Versions 1 and 2, which earlier builds wrote, are refused even with a
+        # valid checksum: the version is read first.
+        for v in (1, 2):
+            old = b"DQML" + struct.pack("<I", v) + blob[8:-4]
+            cases.append((old + struct.pack("<I", zlib.crc32(old)),
+                          f"version {v} is not supported (this build reads version 3)"))
         bad = tmp_path / "bad.dqml"
-        for payload, message in ((b"X" + blob[1:], "bad magic bytes"),
-                                 (v1 + struct.pack("<I", zlib.crc32(v1)),
-                                  "version 1 is not supported "
-                                  "(this build reads versions 2 and 3)")):
+        for payload, message in cases:
             bad.write_bytes(payload)
             capsys.readouterr()
             assert run_cli(["eval", "--model", str(bad), "--data", str(data)]) == 2
@@ -657,6 +658,13 @@ class TestArgumentTypes:
         assert capsys.readouterr().out.startswith(f"usage: dqml {command}")
 
 
+def strict_json(line):
+    """One stdout line parsed as standard JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(line, parse_constant=refuse)
+
+
 class TestOutput:
     def test_every_subcommand_prints_only_json_objects(self, tmp_path, capsys):
         data, model_path = tmp_path / "d.csv", tmp_path / "m.dqml"
@@ -673,7 +681,24 @@ class TestOutput:
             assert run_cli(argv) == 0, argv
             lines = capsys.readouterr().out.splitlines()
             assert lines, argv
-            assert all(isinstance(json.loads(ln), dict) for ln in lines), argv
+            assert all(isinstance(strict_json(ln), dict) for ln in lines), argv
+
+    def test_infinite_suboptimality_prints_as_null(self, tmp_path, capsys):
+        # README's data at 10 times the scale: at lambda 0.1 class 1's P stays
+        # 0, so its suboptimality bound is inf. The model file stores inf, and
+        # train and eval both print null.
+        data, model_path = tmp_path / "x10.csv", tmp_path / "x10.dqml"
+        assert run_cli(["synth", "--classes", "3", "--dim", "10", "--per-class", "70",
+                        "--sep", "60", "--sigma", "10", "-o", str(data)]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--data", str(data), "--lambda", "0.1",
+                        "-o", str(model_path)]) == 0
+        train = [strict_json(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert train[0]["class"] == 1 and train[0]["suboptimality"] is None
+        assert load_model(model_path).summaries[0]["suboptimality"] == float("inf")
+        assert run_cli(["eval", "--model", str(model_path), "--data", str(data)]) == 0
+        (payload,) = [strict_json(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert payload["classes"][0]["suboptimality"] is None
 
 
 class TestReadme:

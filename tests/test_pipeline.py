@@ -2,7 +2,6 @@
 classification rules, cross-validation, and the model file round trip."""
 
 import errno
-import math
 import os
 import struct
 import tracemalloc
@@ -41,7 +40,7 @@ from dqml.pipeline import (
     train_model_set,
 )
 from dqml.qml import TrainedQuadraticMatrix, solve_dual
-from dqml.symmat import SymmetricMatrix, quad_forms
+from dqml.symmat import quad_forms
 
 from conftest import reference_train
 
@@ -62,20 +61,14 @@ def gaussian_dataset(seed=0, per_class=8, dim=4, classes=3, sep=6.0):
 
 
 def identity_model(classes=2, dim=2):
-    mats = tuple(
-        TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(dim)))
-        for _ in range(classes)
-    )
+    mats = tuple(TrainedQuadraticMatrix(np.eye(dim), None, None) for _ in range(classes))
     feats = np.eye(classes) + 0.5
     return ModelSet(mats, 1.0, feats, np.arange(1, classes + 1))
 
 
 def zero_model(classes=3, dim=2):
     """A model whose every class matrix, and so every training feature, is zero."""
-    mats = tuple(
-        TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((dim, dim))))
-        for _ in range(classes)
-    )
+    mats = tuple(TrainedQuadraticMatrix(np.zeros((dim, 0)), None, None) for _ in range(classes))
     return ModelSet(mats, 1.0, np.zeros((classes, classes)), np.arange(1, classes + 1))
 
 
@@ -297,10 +290,7 @@ class TestClassifyNnCosine:
             classify_nn_cosine(FeatureVector(np.ones(3)), identity_model())
 
     def test_zero_norm_training_column_cannot_win(self):
-        mats = tuple(
-            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(2)))
-            for _ in range(2)
-        )
+        mats = tuple(TrainedQuadraticMatrix(np.eye(2), None, None) for _ in range(2))
         feats = np.array([[0.0, 1.0], [0.0, 0.2]])
         model = ModelSet(mats, 1.0, feats, np.array([1, 2]))
         f = FeatureVector(np.array([1.0, 0.0]))
@@ -324,10 +314,7 @@ class TestNnCosineBlocks:
 
     def model(self):
         rng = np.random.default_rng(40)
-        mats = tuple(
-            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.eye(2)))
-            for _ in range(4)
-        )
+        mats = tuple(TrainedQuadraticMatrix(np.eye(2), None, None) for _ in range(4))
         feats = rng.uniform(0.0, 1.0, size=(4, self.N_TRAIN))
         feats[:, 5] = 0.0
         feats[:, 11] = feats[:, 10]
@@ -494,17 +481,6 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(model, bad, "max")
 
-    @pytest.mark.parametrize("rule", ["max", "nn_cosine"])
-    def test_non_psd_model_rejected(self, rule):
-        # A factor W cannot hold a negative eigenvalue: diag(1, -1) is refused
-        # when it is factored, so no model holding it reaches either rule.
-        with pytest.raises(InvalidInputError, match="eigenvalue -1 below the PSD floor"):
-            mats = tuple(
-                TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(p))
-                for p in (np.eye(2), np.diag([1.0, -1.0]))
-            )
-            evaluate(ModelSet(mats, 1.0, np.eye(2) + 0.5, np.array([1, 2])), toy_dataset(), rule)
-
     # A single sample's features come from gemv, a batch's from gemm.
     @pytest.mark.parametrize("dim", [4, 64])
     def test_batched_rules_match_single_sample_calls(self, dim):
@@ -531,10 +507,7 @@ class TestEvaluate:
         # Class c's matrix is e_c e_c^T, so feature c is x_c^2. No sample has
         # a third coordinate and no training feature is labelled 3, so no
         # sample is predicted as class 3; no test label is 4.
-        mats = tuple(
-            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag(np.eye(4)[c])))
-            for c in range(4)
-        )
+        mats = tuple(TrainedQuadraticMatrix(np.eye(4)[:, [c]], None, None) for c in range(4))
         rng = np.random.default_rng(43)
         train_labels = rng.choice([1, 2, 4], size=30)
         model = ModelSet(mats, 1.0, rng.uniform(0.0, 1.0, size=(4, 30)), train_labels)
@@ -649,14 +622,14 @@ class TestModelFile:
         path = tmp_path / "m.dqml"
         save_model(model, path)
         blob = path.read_bytes()
-        # Version 1, which earlier builds wrote, is refused like a version from
-        # the future, even with a valid checksum: the version is read first.
-        v1 = b"DQML" + struct.pack("<I", 1) + blob[8:-4]
-        for version, payload in ((99, blob[:4] + struct.pack("<I", 99) + blob[8:]),
-                                 (1, v1 + struct.pack("<I", zlib.crc32(v1)))):
-            path.write_bytes(payload)
+        # Versions 1 and 2, which earlier builds wrote, are refused like a
+        # version from the future, even with a valid checksum: the version is
+        # read first.
+        for version in (99, 1, 2):
+            payload = b"DQML" + struct.pack("<I", version) + blob[8:-4]
+            path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
             with pytest.raises(ModelVersionError, match=rf"version {version} is not supported "
-                               r"\(this build reads versions 2 and 3\); re-train"):
+                               r"\(this build reads version 3\); re-train"):
                 load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -727,24 +700,18 @@ class TestModelFile:
     SUMMARY_NAMES = ("termination", "iterations", "evaluations", "grad_inf_norm",
                      "duality_gap", "max_violation", "suboptimality")
 
-    def file_bytes(self, version, model, with_summaries):
-        """Model file bytes laid out by hand. Version 2 holds each m x m matrix
-        and 36-byte summaries; version 3 the ranks, the factors, and 44-byte
-        summaries that end with the suboptimality."""
+    def file_bytes(self, model, with_summaries):
+        """Version 3 model file bytes laid out by hand: the ranks, the factors,
+        and 44-byte summaries that end with the suboptimality."""
         m, c, n = model.dim, model.class_count, model.training_labels.size
-        fields = 7 if version == 3 else 6
-        summary_bytes = bytes((fields * 8 - 12) * c)  # no summaries: an all-zero block
+        summary_bytes = bytes(44 * c)  # no summaries: an all-zero block
         if with_summaries:
-            summary_bytes = b"".join(struct.pack("<III", *r[1:4]) + struct.pack("<ddd", *r[4:7])
-                                     + (struct.pack("<d", r[7]) if version == 3 else b"")
+            summary_bytes = b"".join(struct.pack("<III", *r[1:4]) + struct.pack("<dddd", *r[4:8])
                                      for r in self.SUMMARY_ROWS)
-        if version == 3:
-            matrices = [struct.pack(f"<{c}I", *(t.factor.shape[1] for t in model.matrices)),
-                        *(t.factor.astype("<f8").tobytes() for t in model.matrices)]
-        else:
-            matrices = [t.matrix.entries.astype("<f8").tobytes() for t in model.matrices]
         payload = b"".join([
-            b"DQML", struct.pack("<IIId", version, m, c, model.lam), *matrices,
+            b"DQML", struct.pack("<IIId", 3, m, c, model.lam),
+            struct.pack(f"<{c}I", *(t.factor.shape[1] for t in model.matrices)),
+            *(t.factor.astype("<f8").tobytes() for t in model.matrices),
             struct.pack("<I", n), model.training_features.astype("<f8").tobytes(),
             model.training_labels.astype("<u4").tobytes(),
             struct.pack(f"<{c}q", *model.class_labels), summary_bytes,
@@ -759,42 +726,16 @@ class TestModelFile:
                 dict(zip(self.SUMMARY_NAMES, (r[0], *r[2:]))) for r in self.SUMMARY_ROWS))
         path = tmp_path / "v3.dqml"
         save_model(model, path)
-        assert path.read_bytes() == self.file_bytes(3, model, with_summaries)
+        assert path.read_bytes() == self.file_bytes(model, with_summaries)
         # Every class here has rank 1, so the factors take 8 * m bytes each,
         # not the 8 * m * m of a version 2 matrix.
         assert [t.factor.shape for t in model.matrices] == [(4, 1)] * 3
         assert load_model(path).summaries == model.summaries
 
-    # A version 2 file, which the previous build wrote, loads with each matrix
-    # factored by one eigh, and classifies as the model it was written from.
-    @pytest.mark.parametrize("with_summaries", [True, False], ids=["summaries", "none"])
-    def test_version_2_bytes_match_the_layout(self, tmp_path, with_summaries):
-        model = replace(self.trained(), class_labels=(3, 7, 10), summaries=None)
-        path = tmp_path / "v2.dqml"
-        path.write_bytes(self.file_bytes(2, model, with_summaries))
-        loaded = load_model(path)
-        assert loaded.class_labels == (3, 7, 10) and loaded.lam == model.lam
-        assert np.array_equal(loaded.training_features, model.training_features)
-        assert np.array_equal(loaded.training_labels, model.training_labels)
-        for a, b in zip(model.matrices, loaded.matrices):
-            assert b.factor.shape == a.factor.shape
-            assert np.allclose(b.matrix.entries, a.matrix.entries, rtol=0, atol=1e-14)
-        test = gaussian_dataset(seed=5, per_class=40)
-        for rule in ("max", "nn_cosine"):
-            assert np.array_equal(evaluate(loaded, test, rule).confusion,
-                                  evaluate(model, test, rule).confusion)
-        if not with_summaries:
-            assert loaded.summaries is None
-            return
-        # A version 2 summary has no suboptimality; it reads nan.
-        for s, r in zip(loaded.summaries, self.SUMMARY_ROWS):
-            assert math.isnan(s.pop("suboptimality"))
-            assert s == dict(zip(self.SUMMARY_NAMES, (r[0], *r[2:7])))
-
     def test_rank_past_m_is_refused(self, tmp_path):
         # A valid checksum, but class 2 claims m + 1 factor columns.
         model = self.trained()
-        blob = bytearray(self.file_bytes(3, model, True))
+        blob = bytearray(self.file_bytes(model, True))
         struct.pack_into("<I", blob, 28, model.dim + 1)
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
         path = tmp_path / "m.dqml"

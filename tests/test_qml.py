@@ -31,7 +31,7 @@ from dqml.qml import (
     recover_primal,
     solve_dual,
 )
-from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, eig_call_count, negative_part
+from dqml.symmat import EIGENVALUE_CLAMP_RTOL, SymmetricMatrix, negative_part
 
 from conftest import reference_train
 
@@ -644,19 +644,3 @@ class TestFactor:
         for bad in (np.ones(3), np.ones((2, 3)), np.ones((0, 0)), np.array([[np.nan]])):
             with pytest.raises(InvalidInputError, match="factor must be a finite m x r array"):
                 TrainedQuadraticMatrix(bad, None, None)
-
-    def test_from_matrix_factors_with_one_eigh(self):
-        a = np.random.default_rng(4).normal(size=(5, 2))
-        p = a @ a.T
-        before = eig_call_count()
-        t = TrainedQuadraticMatrix.from_matrix(SymmetricMatrix((p + p.T) / 2.0))
-        assert eig_call_count() - before == 1
-        assert t.factor.shape == (5, 2)
-        assert np.allclose(t.matrix.entries, p, rtol=0, atol=1e-13 * np.abs(p).max())
-        assert TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.zeros((3, 3)))).factor.shape \
-            == (3, 0)
-        # Rounding below zero is not a negative eigenvalue; -1e-6 is.
-        assert TrainedQuadraticMatrix.from_matrix(
-            SymmetricMatrix(np.diag([1.0, -1e-12]))).factor.shape == (2, 1)
-        with pytest.raises(InvalidInputError, match="below the PSD floor"):
-            TrainedQuadraticMatrix.from_matrix(SymmetricMatrix(np.diag([1.0, -1e-6])))
