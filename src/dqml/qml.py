@@ -10,12 +10,14 @@ The solver maximizes the Lagrange dual
     D(u) = -(1/2) ||M(u)_-||_F^2 + b * sum(u),    u >= 0,
 
 where M(u) = lam*O - sum_i u_i x_i x_i^T and M_- is the negative spectral
-part of M. The optimizer is a projected L-BFGS with Armijo backtracking; the
-trained matrix is recovered in closed form as P = -M(u*)_-. Each combined
+part of M. The optimizer runs projected L-BFGS with Armijo backtracking,
+then finishes with regularized projected semismooth Newton steps, whose
+generalized Hessian comes from the same eigendecomposition; the trained
+matrix is recovered in closed form as P = -M(u*)_-. Each combined
 objective/gradient evaluation costs exactly one dense eigendecomposition.
-The backtracking evaluates a trial step only if the Armijo test could accept
-it: a trial whose lower bound on -D, taken from the current point's spectrum,
-already fails the test is rejected unevaluated.
+The L-BFGS backtracking evaluates a trial step only if the Armijo test could
+accept it: a trial whose lower bound on -D, taken from the current point's
+spectrum, already fails the test is rejected unevaluated.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ _EPS = float(np.finfo(float).eps)
 # MAX_ITERATIONS steps.
 MAX_ITERATIONS = 500
 GRAD_TOL = 1e-7
+
+# solve_dual's projected L-BFGS phase runs for at most this many iterations,
+# half the default budget, before Newton steps take over. It is fixed here,
+# not read from MAX_ITERATIONS at each call, so that a run with a larger
+# budget continues the run with a smaller one.
+_LBFGS_ITERATIONS = MAX_ITERATIONS // 2
 
 
 def _is_number(value, kind=numbers.Integral) -> bool:
@@ -204,8 +212,10 @@ class SolveReport(KktReport):
 
     ``termination`` names the exit taken: "converged" (grad_inf_norm <=
     GRAD_TOL * max(1, margin) there), "max_iterations" or
-    "line_search_failed". ``iterations`` counts the steps attempted,
-    including a last one whose line search failed. ``objective_evals``
+    "line_search_failed". ``iterations`` counts the L-BFGS iterations and
+    Newton steps attempted, including those whose line search failed: an
+    L-BFGS one hands over to Newton, a Newton one ends the solve.
+    ``objective_evals``
     counts the points evaluated: the start and the line-search trials that
     were evaluated, not those rejected unevaluated. ``eig_calls`` counts
     the solving thread's eigendecompositions meanwhile, one per evaluation;
@@ -261,8 +271,8 @@ def _dual_state(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray):
 
     The one place the dual is evaluated: exactly one eigendecomposition per
     call. Returns (f, grad_f, eigenvectors, negative_eigenvalues,
-    eigenvalues, y2), eigenvalues descending, where y2 = (X V)^2 holds the
-    squared coordinates of the samples in the eigenbasis.
+    eigenvalues, y2, y), eigenvalues descending, where y = X V holds the
+    coordinates of the samples in the eigenbasis and y2 = y^2.
     """
     m = _assemble(problem, u, lam_o)
     if not np.isfinite(m).all():
@@ -275,9 +285,30 @@ def _dual_state(problem: ClassProblem, u: np.ndarray, lam_o: np.ndarray):
     b = problem.margin
     # f as -D, so that D(0) = -f(0) is +0.0; 0.5||neg||^2 - b sum(u) gives D(0) = -0.0.
     f = -(b * float(u.sum()) - 0.5 * float(neg.dot(neg)))
-    y2 = np.square(problem.intra @ v)
+    y = problem.intra @ v
+    y2 = np.square(y)
     g = -(b + y2 @ neg)
-    return f, g, v, neg, w, y2
+    return f, g, v, neg, w, y2, y
+
+
+def _dual_hessian(y: np.ndarray, w: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The generalized Hessian of f = -D at u (Qi & Sun 2006), from the
+    coordinates y = X V, eigenvalues w and negative part neg of M(u):
+
+        H_ij = sum_kl Omega_kl y_ik y_il y_jk y_jl,
+
+    where Omega_kl is the divided difference of min(0, .) at w_k and w_l (1
+    where they are equal and negative). Omega_kl = 0 unless w_k or w_l is
+    negative, so H is formed from the r m columns y_k o y_l with neg_k < 0; a
+    column with neg_l = 0 stands for both (k, l) and (l, k).
+    """
+    k = neg < 0.0
+    gap = w[k, None] - w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega = np.where(gap != 0.0, (neg[k, None] - neg) / gap, 1.0)
+    omega *= np.where(k, 1.0, 2.0)
+    z = (y[:, k, None] * y[:, None, :]).reshape(y.shape[0], -1)
+    return (z * omega.ravel()) @ z.T
 
 
 def _f_lower_bound(
@@ -298,8 +329,8 @@ def _f_lower_bound(
     v_k^T M(u_new) v_k = w_k - (delta . y2)_k with delta = u_new - u. Hence
     f(u_new) >= (1/2)||min(0, w - delta . y2)||^2 - b sum(u_new) =: LB.
 
-    The value returned is LB - tau, where tau covers the rounding of both
-    computations. With S = ||lam O||_F + sum_i max(u_i, u_new_i) ||x_i||^2,
+    The value returned is LB - tau, where tau (_rounding_margin) covers the
+    rounding of both computations. With S = ||lam O||_F + sum_i max(u_i, u_new_i) ||x_i||^2,
     which bounds ||M||_F at u and at u_new, and constants of order one
     dropped:
     - ||A_-||_F is the distance from A to the PSD cone, so it moves by at
@@ -329,18 +360,23 @@ def _f_lower_bound(
     It grows with ||z|| S, not with S^2. When S overflows, tau is inf or
     NaN, and the caller's test then evaluates the trial.
     """
-    n, m = y2.shape
     z = np.minimum(w - delta @ y2, 0.0)
     zz = float(z.dot(z))
+    return 0.5 * zz - problem.margin * float(u_new.sum()) - _rounding_margin(problem, zz, u, u_new)
+
+
+def _rounding_margin(problem: ClassProblem, zz: float, u: np.ndarray, u_new: np.ndarray) -> float:
+    """tau of _f_lower_bound, for ||z||^2 = zz: how far rounding can move an
+    f that _dual_state computes at u_new, or a bound on it, from the exact
+    value."""
+    m, n = problem.dim, problem.n_intra
     s = problem.lam_o_norm + float(np.maximum(u, u_new).dot(problem.sq_norms))
-    linear = problem.margin * float(u_new.sum())
     d = 2.0 * _EPS * s * (m * math.sqrt(m) + m * n)
-    tau = (
+    return (
         math.sqrt(zz) * d
         + 0.5 * m * (EIGENVALUE_CLAMP_RTOL * s) * (EIGENVALUE_CLAMP_RTOL * s)
-        + _EPS * ((m + 1) * zz + 2.0 * linear)
+        + _EPS * ((m + 1) * zz + 2.0 * (problem.margin * float(u_new.sum())))
     )
-    return 0.5 * zz - linear - tau
 
 
 def _factor_from(v: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -444,84 +480,159 @@ def _two_loop_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
     return q
 
 
-def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
-    """Run the projected L-BFGS dual ascent and recover the trained matrix.
+def _lbfgs_step(problem, u, state, active, g_free, pairs, lam_o):
+    """One projected L-BFGS step from u with its _dual_state ``state``.
 
-    It stops at MAX_ITERATIONS and GRAD_TOL as they are when it is called.
-    Raises NumericalFailureError when an iterate stops being finite.
+    Returns (u_new, state at u_new, evaluations), or (u, None, evaluations)
+    when the line search fails. Updates the (s, y) pairs.
+    """
+    f, g, _, _, w, y2, _ = state
+    d = -_two_loop_direction(g_free, pairs)
+    d[active] = 0.0
+    descent = float(d.dot(g))
+    if not math.isfinite(descent) or descent >= -1e-14 * (
+        math.sqrt(d.dot(d)) * math.sqrt(g_free.dot(g_free)) + 1e-300
+    ):
+        # Steepest descent: g_free != 0 here, so d @ g = -||g_free||^2 < 0.
+        d = -g_free
+
+    step = 1.0
+    evals = 0
+    for _ in range(_MAX_BACKTRACKS):
+        u_new = np.maximum(u + step * d, 0.0)
+        delta = u_new - u
+        if not np.count_nonzero(delta):
+            break
+        directional = float(g.dot(delta))
+        armijo = f + _ARMIJO_C * directional
+        # The Armijo test rejects a trial with directional >= 0, and one
+        # whose lower bound on f(u_new) exceeds armijo: skip evaluating it.
+        if not (
+            directional >= 0.0 or _f_lower_bound(problem, w, y2, u, u_new, delta) > armijo
+        ):
+            new = _dual_state(problem, u_new, lam_o)
+            evals += 1
+            if new[0] <= armijo:
+                y = new[1] - g
+                sy = float(delta.dot(y))
+                yy = float(y.dot(y))
+                if sy > _CURVATURE_RTOL * (math.sqrt(delta.dot(delta)) * math.sqrt(yy)):
+                    pairs.append((delta, y, 1.0 / sy, sy / yy))
+                return u_new, new, evals
+        step *= _LINE_SEARCH_SHRINK
+    return u, None, evals
+
+
+def _newton_step(problem, u, state, grad_inf, lam_o):
+    """One regularized projected semismooth Newton step from u, whose
+    _dual_state is ``state`` and projected gradient max norm ``grad_inf``.
+
+    On the epsilon-free set F it solves (H_FF + mu I) d_F = -g_F (Bertsekas
+    1982; Li, Fukushima, Qi & Yamashita 2004), on the epsilon-active set A it
+    takes d_A = -g_A / max(H_ii, mu), with mu = 1e-3 min(1, grad_inf) max_i H_ii.
+    Where M(u) is PSD, H = 0 and f is linear: it steps along -g by the trace
+    bound t = 1 / sum_i d_i sum_k y2_ik / w_k, which keeps M(u + t d) PSD,
+    and doubles t while f falls. Otherwise it backtracks until the Armijo
+    test holds, or until f moves by no more than its rounding margin while
+    the projected gradient falls. Returns as _lbfgs_step does.
+    """
+    f, g, _, neg, w, y2, y = state
+    h = _dual_hessian(y, w, neg)
+    h_diag = h.diagonal()
+    mu = 1e-3 * min(1.0, grad_inf) * float(h_diag.max())
+    linear = not mu > 0.0
+    if linear:
+        d = -g
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trace = float(d.dot(y2 @ (1.0 / w)))
+        step = 1.0 / trace if 0.0 < trace < math.inf else 1.0
+    else:
+        eps = min(1e-3, float(np.abs(u - np.maximum(u - g, 0.0)).max()))
+        free = ~((u <= eps) & (g > 0.0))
+        d = -g / np.maximum(h_diag, mu)
+        d[free] = np.linalg.solve(h[np.ix_(free, free)] + mu * np.eye(int(free.sum())), -g[free])
+        step = 1.0
+    zz = float(neg.dot(neg))
+    best = None
+    evals = 0
+    for _ in range(_MAX_BACKTRACKS):
+        u_new = np.maximum(u + step * d, 0.0)
+        delta = u_new - u
+        if not np.count_nonzero(delta):
+            break
+        new = _dual_state(problem, u_new, lam_o)
+        evals += 1
+        if best is not None:
+            if not new[0] < best[1][0]:
+                break
+        elif not (
+            new[0] <= f + _ARMIJO_C * float(g.dot(delta))
+            or (abs(new[0] - f) <= _rounding_margin(problem, zz, u, u_new)
+                and _projected_gradient(u_new, new[1])[2] < grad_inf)
+        ):
+            step *= _LINE_SEARCH_SHRINK
+            continue
+        best = (u_new, new)
+        if not linear:
+            break
+        step *= 2.0
+    return (*best, evals) if best else (u, None, evals)
+
+
+def solve_dual(problem: ClassProblem) -> TrainedQuadraticMatrix:
+    """Minimize f = -D over u >= 0 and recover the trained matrix.
+
+    Projected L-BFGS runs first, for at most _LBFGS_ITERATIONS iterations or
+    until its first line search fails; regularized projected semismooth
+    Newton steps (_newton_step) then finish the solve within the rest of the
+    MAX_ITERATIONS budget. It stops at MAX_ITERATIONS and GRAD_TOL as they
+    are when it is called. Raises NumericalFailureError when an iterate
+    stops being finite.
     """
     start = time.perf_counter()
     tol = GRAD_TOL * max(1.0, problem.margin)
     eig_before = eig_call_count()
     lam_o = problem.lam_o
 
-    # Minimize f(u) = -D(u) over u >= 0.
     u = np.zeros(problem.n_intra)
-    f, g, v, neg, w, y2 = _dual_state(problem, u, lam_o)
+    state = _dual_state(problem, u, lam_o)
     evals = 1
 
     pairs: deque = deque(maxlen=_MEMORY)
     iterations = 0
+    newton = False
 
     # Stop on the gradient test or the cap, both checked at every iterate,
-    # or on a failed line search.
+    # or on a failed Newton line search.
     while True:
-        active, g_free, grad_inf = _projected_gradient(u, g)
+        active, g_free, grad_inf = _projected_gradient(u, state[1])
         if grad_inf <= tol:
             termination = "converged"
             break
         if iterations == MAX_ITERATIONS:
             termination = "max_iterations"
             break
-
+        newton = newton or iterations == _LBFGS_ITERATIONS
         iterations += 1
-        d = -_two_loop_direction(g_free, pairs)
-        d[active] = 0.0
-        descent = float(d.dot(g))
-        if not math.isfinite(descent) or descent >= -1e-14 * (
-            math.sqrt(d.dot(d)) * math.sqrt(g_free.dot(g_free)) + 1e-300
-        ):
-            # Steepest descent: g_free != 0 here, so d @ g = -||g_free||^2 < 0.
-            d = -g_free
-
-        step = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            u_new = np.maximum(u + step * d, 0.0)
-            delta = u_new - u
-            if not np.count_nonzero(delta):
+        if newton:
+            u, new, n = _newton_step(problem, u, state, grad_inf, lam_o)
+        else:
+            u, new, n = _lbfgs_step(problem, u, state, active, g_free, pairs, lam_o)
+        evals += n
+        if new is None:
+            if newton:
+                termination = "line_search_failed"
                 break
-            directional = float(g.dot(delta))
-            armijo = f + _ARMIJO_C * directional
-            # The Armijo test rejects a trial with directional >= 0, and one
-            # whose lower bound on f(u_new) exceeds armijo: skip evaluating it.
-            if not (
-                directional >= 0.0 or _f_lower_bound(problem, w, y2, u, u_new, delta) > armijo
-            ):
-                f_new, g_new, v_new, neg_new, w_new, y2_new = _dual_state(problem, u_new, lam_o)
-                evals += 1
-                if f_new <= armijo:
-                    accepted = True
-                    break
-            step *= _LINE_SEARCH_SHRINK
-        if not accepted:
-            termination = "line_search_failed"
-            break
-
-        y = g_new - g
-        sy = float(delta.dot(y))
-        yy = float(y.dot(y))
-        if sy > _CURVATURE_RTOL * (math.sqrt(delta.dot(delta)) * math.sqrt(yy)):
-            pairs.append((delta, y, 1.0 / sy, sy / yy))
-
-        u, f, g, v, neg, w, y2 = u_new, f_new, g_new, v_new, neg_new, w_new, y2_new
-        if not (math.isfinite(f) and np.isfinite(g).all()):
+            newton = True
+            continue
+        state = new
+        if not (math.isfinite(state[0]) and np.isfinite(state[1]).all()):
             raise NumericalFailureError("solver iterate became non-finite")
 
     eig_calls = eig_call_count() - eig_before
-    factor = _factor_from(v, neg)
+    factor = _factor_from(state[2], state[3])
     report = SolveReport(
-        **_kkt(problem, u, f, g, _primal_from(factor)),
+        **_kkt(problem, u, state[0], state[1], _primal_from(factor)),
         iterations=iterations,
         termination=termination,
         objective_evals=evals,

@@ -330,10 +330,13 @@ class TestSolver:
     def test_tolerance_below_rounding_ends_in_line_search_failure(self, monkeypatch):
         # No step can lower -D by the Armijo amount once the gradient is
         # near rounding, so the line search fails before GRAD_TOL is met.
+        # With b = 1, a nonzero entry of g = -(b + y2 @ neg) is at least
+        # 2^-53 (the Newton phase reaches 1.8e-15 here), so 1e-17 is below
+        # rounding.
         rng = np.random.default_rng(0)
         prob = random_class_problem(rng, dim=6, n_intra=10, n_extra=20)
         monkeypatch.setattr(qml, "MAX_ITERATIONS", 2000)
-        monkeypatch.setattr(qml, "GRAD_TOL", 1e-14)
+        monkeypatch.setattr(qml, "GRAD_TOL", 1e-17)
         trained = solve_dual(prob)
         assert trained.report.termination == "line_search_failed"
         assert trained.report.converged is False
@@ -382,9 +385,17 @@ def random_problems(count):
     return problems
 
 
+# Settings that force the exits other than convergence on the reference
+# split: a cap inside the L-BFGS phase, and a tolerance below rounding (see
+# test_tolerance_below_rounding_ends_in_line_search_failure), at which the
+# Newton phase's line search fails.
+FORCED_EXITS = (("MAX_ITERATIONS", 100, "max_iterations"),
+                ("GRAD_TOL", 1e-17, "line_search_failed"))
+
+
 def f_lower_bound(problem, u, u_new):
     """qml._f_lower_bound from the spectrum at u, as solve_dual calls it."""
-    w, y2 = qml._dual_state(problem, u, problem.lam_o)[4:]
+    w, y2 = qml._dual_state(problem, u, problem.lam_o)[4:6]
     return qml._f_lower_bound(problem, w, y2, u, u_new, u_new - u)
 
 
@@ -468,13 +479,15 @@ class TestLineSearchScreen:
     @pytest.mark.parametrize("lam", [0.1, 10.0])
     def test_same_iterates_on_reference_split(self, monkeypatch, lam):
         screened, plain = self._compare(monkeypatch, reference_split_problems(lam))
-        if lam == 10.0:
-            # The exits other than convergence are covered too.
-            assert {t.report.termination for t in screened} == {
-                "max_iterations", "line_search_failed"
-            }
         for a, b in zip(screened, plain):
             assert a.report.objective_evals < b.report.objective_evals
+        if lam == 10.0:
+            # The exits other than convergence are covered too.
+            for name, value, termination in FORCED_EXITS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(qml, name, value)
+                    screened, _ = self._compare(patch, reference_split_problems(lam))
+                assert {t.report.termination for t in screened} == {termination}
 
     def test_same_iterates_on_random_instances(self, monkeypatch):
         self._compare(monkeypatch, random_problems(10))
@@ -539,11 +552,92 @@ class TestSolveReportCertificate:
     def test_random_instances(self):
         self.check(random_problems(10))
 
-    def test_reference_split_covers_every_exit(self):
-        terminations = self.check(
-            [*reference_split_problems(0.1), *reference_split_problems(10.0)]
+    def test_reference_split_covers_every_exit(self, monkeypatch):
+        problems = [*reference_split_problems(0.1), *reference_split_problems(10.0)]
+        assert self.check(problems) == {"converged"}
+        for name, value, termination in FORCED_EXITS:
+            with monkeypatch.context() as patch:
+                patch.setattr(qml, name, value)
+                assert self.check(problems) == {termination}
+
+
+def hessian_parts(problem, u):
+    """y = X V, w and neg of M(u), as _newton_step passes them to _dual_hessian."""
+    _, _, _, neg, w, _, y = qml._dual_state(problem, u, problem.lam_o)
+    return y, w, neg
+
+
+class TestDualHessian:
+    """qml._dual_hessian is the Jacobian of the gradient of f = -D wherever
+    no eigenvalue of M(u) is zero, and its r m-column form equals the full
+    sum over all m^2 pairs of eigenvalues."""
+
+    @staticmethod
+    def points(problem, seed, count):
+        """Multipliers, some zero, at scales around the one where
+        sum_i u_i ||x_i||^2 = ||lam O||_F, whose M(u) has a negative
+        eigenvalue and none within 1e-3 max|w| of zero."""
+        rng = np.random.default_rng(seed)
+        unit = problem.lam_o_norm / float(problem.sq_norms.sum())
+        found = []
+        for _ in range(500):
+            u = unit * 10.0 ** rng.uniform(-0.5, 1.5) * rng.exponential(size=problem.n_intra)
+            u[rng.random(problem.n_intra) < 0.2] = 0.0
+            w = hessian_parts(problem, u)[1]
+            if (w < 0).any() and np.abs(w).min() > 1e-3 * np.abs(w).max():
+                found.append(u)
+                if len(found) == count:
+                    return found
+        raise AssertionError(f"found {len(found)} of {count} points")
+
+    def check_central_differences(self, problem, seed):
+        for u in self.points(problem, seed, 3):
+            h_matrix = qml._dual_hessian(*hessian_parts(problem, u))
+            step = 1e-6 * float(u.max())
+            fd = np.empty_like(h_matrix)
+            for j in range(u.size):
+                e = np.zeros_like(u)
+                e[j] = step
+                # dual_gradient is the gradient of D = -f.
+                fd[:, j] = (dual_gradient(problem, u - e)
+                            - dual_gradient(problem, u + e)) / (2 * step)
+            scale = float(np.abs(h_matrix).max())
+            assert scale > 0.0
+            assert np.abs(h_matrix - fd).max() <= 1e-7 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_central_differences_on_random_instances(self, seed):
+        rng = np.random.default_rng([34, seed])
+        self.check_central_differences(
+            random_class_problem(rng, dim=6, n_intra=9, n_extra=15, lam=(0.1, 10.0)[seed % 2]),
+            seed,
         )
-        assert terminations == {"converged", "max_iterations", "line_search_failed"}
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    def test_matches_central_differences_on_reference_split(self, lam):
+        for c, prob in enumerate(reference_split_problems(lam)):
+            self.check_central_differences(prob, [35, c])
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    def test_negative_pairs_equal_the_full_sum(self, lam):
+        problems = [*random_problems(10), *reference_split_problems(lam)]
+        for k, prob in enumerate(problems):
+            for u in self.points(prob, [36, k], 2):
+                y, w, neg = hessian_parts(prob, u)
+                # Omega over all m^2 pairs: divided differences of min(0, .).
+                gap = w[:, None] - w
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    omega = np.where(gap != 0.0, (neg[:, None] - neg) / gap,
+                                     (neg < 0.0)[:, None] * 1.0)
+                full = np.einsum("kl,ik,il,jk,jl->ij", omega, y, y, y, y)
+                h_matrix = qml._dual_hessian(y, w, neg)
+                assert np.abs(h_matrix - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_vanishes_where_m_is_psd(self):
+        prob = random_class_problem(np.random.default_rng(37), dim=5, n_intra=7, n_extra=20)
+        u = np.zeros(prob.n_intra)
+        assert (hessian_parts(prob, u)[1] > 0.0).all()
+        assert not qml._dual_hessian(*hessian_parts(prob, u)).any()
 
 
 class TestPrimalRecovery:
